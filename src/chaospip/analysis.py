@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import keystream
 from .cipher import Frame, encrypt_image
 from .errors import DegenerateInput, DimensionMismatch, EmptyInput
 from .keystream import KeyMaterial
@@ -92,17 +93,10 @@ def keystream_histogram(key: KeyMaterial, iterations: int, bins: int) -> np.ndar
         raise ValueError(f"bins must be >= 1, got {bins!r}")
     if iterations < bins:
         raise ValueError(f"iterations ({iterations!r}) must be >= bins ({bins!r})")
-    x = key.x0
-    mu = key.mu
-    for _ in range(key.burn_in):
-        x = mu * (x * (1.0 - x))
-    counts = [0] * bins
-    top = bins - 1
-    for _ in range(iterations):
-        x = mu * (x * (1.0 - x))
-        idx = int(x * bins)
-        counts[idx if idx < top else top] += 1
-    return np.asarray(counts, dtype=np.int64)
+    counts = np.zeros(bins, dtype=np.int64)
+    for states in keystream._orbit(keystream.seed(key).x, key.mu, iterations):
+        np.add.at(counts, np.minimum((states * bins).astype(np.int64), bins - 1), 1)
+    return counts
 
 
 @dataclass(frozen=True)

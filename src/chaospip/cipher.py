@@ -2,10 +2,12 @@
 
 Each 8-byte block is transposed bit-wise, XOR-ed with 8 keystream bytes,
 and transposed back; a trailing partial block is XOR-ed without the
-permutation so ciphertext length always equals plaintext length. Because
-the transposes are mutually inverse and XOR is self-inverse, the whole
-transform is an involution: running it twice with the same key is the
-identity, and decryption is the same operation as encryption.
+permutation so ciphertext length always equals plaintext length. The
+transpose T is linear over GF(2) and its own inverse, so a full block is
+computed as c = T(T(p) ^ k) = p ^ T(k): only the keystream is transposed.
+XOR is self-inverse, so the whole transform is an involution: running it
+twice with the same key is the identity, and decryption is the same
+operation as encryption.
 """
 
 from __future__ import annotations
@@ -65,39 +67,27 @@ class Frame:
 
 
 def process_block(block, key_bytes) -> bytes:
-    """Permute, XOR with 8 key bytes in block order, permute back."""
-    if len(key_bytes) != bitperm.BLOCK_SIZE:
-        raise ValueError(f"need exactly {bitperm.BLOCK_SIZE} key bytes, got {len(key_bytes)}")
-    permuted = bitperm.forward_permute(block)
-    mixed = bytes(p ^ k for p, k in zip(permuted, key_bytes))
-    return bitperm.inverse_permute(mixed)
+    """Permute, XOR with 8 key bytes in block order, permute back.
 
-
-def _transpose_blocks(blocks: np.ndarray) -> np.ndarray:
-    """8x8 bit transpose of every row of a (n, 8) uint8 array."""
-    bits = np.unpackbits(blocks, axis=1).reshape(-1, 8, 8)
-    return np.packbits(bits.transpose(0, 2, 1).reshape(-1, 64), axis=1)
+    Computed as block ^ T(key_bytes), which equals T(T(block) ^ key_bytes).
+    """
+    if len(block) != bitperm.BLOCK_SIZE or len(key_bytes) != bitperm.BLOCK_SIZE:
+        raise ValueError(f"need a {bitperm.BLOCK_SIZE}-byte block and {bitperm.BLOCK_SIZE} key "
+                         f"bytes, got {len(block)} and {len(key_bytes)}")
+    return bytes(p ^ k for p, k in zip(block, bitperm.forward_permute(key_bytes)))
 
 
 def transform_plane(data: bytes, state: KeystreamState) -> tuple[bytes, KeystreamState]:
     """Encrypt/decrypt a byte plane, consuming one key byte per data byte.
 
-    Full 8-byte blocks get the permute/XOR/permute treatment; a final
-    partial block is XOR-ed byte-wise with no permutation.
+    Full 8-byte blocks are XOR-ed with the bit-transposed keystream; a
+    final partial block is XOR-ed with the keystream as drawn.
     """
-    n = len(data)
-    if n == 0:
-        return b"", state
-    key, state = keystream.take_bytes(state, n)
-    arr = np.frombuffer(data, dtype=np.uint8)
+    key, state = keystream.take_bytes(state, len(data))
     ks = np.frombuffer(key, dtype=np.uint8)
-    out = np.empty(n, dtype=np.uint8)
-    full = n - n % 8
-    if full:
-        mixed = _transpose_blocks(arr[:full].reshape(-1, 8)) ^ ks[:full].reshape(-1, 8)
-        out[:full] = _transpose_blocks(mixed).ravel()
-    out[full:] = arr[full:] ^ ks[full:]
-    return out.tobytes(), state
+    full = len(ks) - len(ks) % bitperm.BLOCK_SIZE
+    mask = np.concatenate([bitperm._transpose8(ks[:full]), ks[full:]])
+    return (np.frombuffer(data, dtype=np.uint8) ^ mask).tobytes(), state
 
 
 def encrypt_image(frame: Frame, key: KeyMaterial) -> Frame:
@@ -128,15 +118,12 @@ def process_stream(
         return []
     _check_same_shape(frames)
     out = []
-    if mode is ReseedMode.CONTINUOUS:
-        state = keystream.seed(key)
-        for f in frames:
-            data, state = transform_plane(f.data, state)
-            out.append(Frame(f.width, f.height, f.channels, data))
-    else:
-        base = KeystreamState(x=key.x0, mu=key.mu, n=0)
-        for i, f in enumerate(frames):
-            state = keystream.skip(base, key.burn_in + PER_FRAME_STRIDE * i)
-            data, _ = transform_plane(f.data, state)
-            out.append(Frame(f.width, f.height, f.channels, data))
+    start = keystream.seed(key)
+    for f in frames:
+        data, end = transform_plane(f.data, start)
+        out.append(Frame(f.width, f.height, f.channels, data))
+        if mode is ReseedMode.CONTINUOUS:
+            start = end
+        else:  # frame i starts PER_FRAME_STRIDE iterates past frame i-1's start
+            start = keystream.skip(start, PER_FRAME_STRIDE)
     return out

@@ -205,8 +205,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_keystream_hist(args: argparse.Namespace) -> int:
     key = _key_from_args(args)
-    if args.n < 1 or args.bins < 1 or args.n < args.bins:
-        raise FormatError("--n and --bins must be positive with --n >= --bins")
     counts = analysis.keystream_histogram(key, args.n, args.bins)
     rows = [
         f"{i / args.bins!r},{(i + 1) / args.bins!r},{count}"

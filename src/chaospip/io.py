@@ -22,14 +22,14 @@ concatenated, each channel-planar). The header never carries key material.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import struct
 
 import numpy as np
 
-from .cipher import Frame, ReseedMode
-from .errors import DimensionMismatch, FormatError
+from .cipher import Frame, ReseedMode, _check_same_shape
+from .errors import FormatError
 
 MAGIC = b"CPIP"
 VERSION = 1
@@ -139,7 +139,7 @@ def write_container(
     frames = list(frames)
     if not frames:
         raise ValueError("a container needs at least one frame")
-    _check_consistent(frames)
+    _check_same_shape(frames)
     mode = ContainerMode(mode)
     first = frames[0]
     if first.channels != mode.channels:
@@ -182,10 +182,3 @@ def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]
         for i in range(count)
     ]
     return frames, mode, reseed
-
-
-def _check_consistent(frames: Sequence[Frame]) -> None:
-    first = frames[0].shape
-    for f in frames[1:]:
-        if f.shape != first:
-            raise DimensionMismatch(f"frame shapes differ: {first} vs {f.shape}")

@@ -12,6 +12,11 @@ which skews the raw fraction bits badly (the most significant one comes up
 into an image leaves measurable plaintext correlation in the ciphertext.
 The cycling counter balances every bit position without touching
 determinism, seed sensitivity, or the cipher's involution.
+
+`_orbit` is the single definition of the recurrence; every other reader
+of map states (`skip`, `take_bytes`, `analysis.keystream_histogram`) takes
+them from it and extracts bytes or bins with numpy, which is exact: numpy's
+binary64 multiply and truncation of positive values match Python's.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .errors import FixedPointError, ParseError, RangeError
 
@@ -33,6 +41,9 @@ MU_MAX = 4.0
 DEFAULT_BURN_IN = 1000
 
 _TWO_128 = 2.0**128
+
+# Most states `_orbit` holds at once, so memory stays bounded for any count.
+_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -71,11 +82,21 @@ class KeystreamState:
     n: int = 0
 
 
+def _orbit(x: float, mu: float, count: int) -> Iterator[np.ndarray]:
+    """The `count` map states after `x`, as float64 arrays of <= _CHUNK states.
+
+    The parentheses fix the evaluation order t = 1-x, u = x*t, mu*u, which
+    keeps trajectories bit-exact; do not reassociate them.
+    """
+    while count > 0:
+        size = min(count, _CHUNK)
+        yield np.array([x := mu * (x * (1.0 - x)) for _ in range(size)], dtype=np.float64)
+        count -= size
+
+
 def logistic_step(x: float, mu: float) -> float:
     """One map iterate, evaluated exactly as t = 1-x, u = x*t, mu*u."""
-    t = 1.0 - x
-    u = x * t
-    return mu * u
+    return float(next(_orbit(x, mu, 1))[0])
 
 
 def _parse_decimal(text: str, name: str) -> float:
@@ -133,11 +154,8 @@ def next_key_byte(state: KeystreamState) -> tuple[int, KeystreamState]:
     pre-advance iterate count. Advancing first means the seed itself never
     appears in the keystream.
     """
-    x = logistic_step(state.x, state.mu)
-    b = int(x * 256.0)
-    if b > 255:
-        b = 255
-    return b ^ (state.n & 0xFF), KeystreamState(x=x, mu=state.mu, n=state.n + 1)
+    key, state = take_bytes(state, 1)
+    return key[0], state
 
 
 def skip(state: KeystreamState, count: int) -> KeystreamState:
@@ -145,22 +163,20 @@ def skip(state: KeystreamState, count: int) -> KeystreamState:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count!r}")
     x = state.x
-    mu = state.mu
-    for _ in range(count):
-        x = mu * (x * (1.0 - x))
-    return KeystreamState(x=x, mu=mu, n=state.n + count)
+    for states in _orbit(x, state.mu, count):
+        x = float(states[-1])
+    return KeystreamState(x=x, mu=state.mu, n=state.n + count)
 
 
 def take_bytes(state: KeystreamState, count: int) -> tuple[bytes, KeystreamState]:
     """`count` key bytes at once; identical to `count` next_key_byte calls."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count!r}")
-    x = state.x
-    mu = state.mu
-    n = state.n
-    out = bytearray(count)
-    for i in range(count):
-        x = mu * (x * (1.0 - x))
-        b = int(x * 256.0)
-        out[i] = (b if b < 256 else 255) ^ ((n + i) & 0xFF)
-    return bytes(out), KeystreamState(x=x, mu=mu, n=n + count)
+    out = np.empty(count, dtype=np.uint8)
+    x, pos, low = state.x, 0, state.n & 0xFF
+    for states in _orbit(x, state.mu, count):
+        end = pos + len(states)
+        raw = np.minimum((states * 256.0).astype(np.int64), 255)
+        out[pos:end] = raw ^ ((np.arange(pos, end) + low) & 0xFF)
+        x, pos = float(states[-1]), end
+    return out.tobytes(), KeystreamState(x=x, mu=state.mu, n=state.n + count)

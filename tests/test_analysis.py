@@ -184,6 +184,27 @@ def test_keystream_histogram_preconditions():
         keystream_histogram(key, 5, 0)
 
 
+@pytest.mark.parametrize(
+    "mu,x0,burn_in,bins",
+    [
+        (3.934, 0.22101986, 1000, 100),
+        (math.nextafter(4.0, 0.0), math.nextafter(1.0, 0.0), 0, 7),  # hex-key extremes
+        (3.58, 0.123456789, 3, 1000),
+    ],
+)
+def test_keystream_histogram_matches_float_loop(mu, x0, burn_in, bins):
+    iterations = 70_001  # more than one 65536-state chunk of the keystream kernel
+    x = x0
+    for _ in range(burn_in):
+        x = mu * (x * (1.0 - x))
+    expected = [0] * bins
+    for _ in range(iterations):
+        x = mu * (x * (1.0 - x))
+        expected[min(int(x * bins), bins - 1)] += 1
+    counts = keystream_histogram(KeyMaterial(mu=mu, x0=x0, burn_in=burn_in), iterations, bins)
+    assert counts.tolist() == expected
+
+
 def test_keystream_histogram_shows_attractor_bias():
     key = KeyMaterial(mu=3.934, x0=0.22101986, burn_in=1000)
     counts = keystream_histogram(key, 100_000, 100)

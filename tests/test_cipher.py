@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,17 @@ def test_wrong_key_decrypt_is_decorrelated_noise():
     assert abs(corr2d(garbage.data, plain.data)) < 0.05
 
 
+@pytest.mark.parametrize("length,burn_in", [(65535, 0), (65536, 1), (65537, 255), (131077, 1000)])
+def test_plane_matches_reference_across_keystream_chunks(length, burn_in):
+    # the lengths straddle the 65536-state chunks of the keystream kernel,
+    # and the burn-ins start the wrapping iterate counter at different phases
+    mu, x0 = math.nextafter(4.0, 0.0), math.nextafter(1.0, 0.0)  # hex-key extremes
+    data = np.random.default_rng(length).integers(0, 256, size=length, dtype=np.uint8).tobytes()
+    out, state = transform_plane(data, seed(KeyMaterial(mu=mu, x0=x0, burn_in=burn_in)))
+    assert out == reference_transform(data, mu, x0, burn_in)
+    assert state.n == burn_in + length
+
+
 def test_matches_straight_line_reference_up_to_three_blocks(make_frame):
     rng = np.random.default_rng(8)
     key = KeyMaterial(mu=3.934, x0=0.5250, burn_in=25)
@@ -194,6 +207,19 @@ def test_per_frame_ciphertext_depends_only_on_content_and_index(make_frame):
                      KEY.burn_in + PER_FRAME_STRIDE * index)
         expected, _ = transform_plane(frame.data, state)
         assert first[index].data == expected
+
+
+def test_per_frame_offsets_hold_over_hundreds_of_frames(make_frame):
+    rng = np.random.default_rng(14)
+    frames = [make_frame(rng, 8, 8, 1) for _ in range(301)]
+    last = len(frames) - 1
+    out = process_stream(frames, KEY, ReseedMode.PER_FRAME)
+    state = skip(KeystreamState(x=KEY.x0, mu=KEY.mu, n=0), KEY.burn_in + PER_FRAME_STRIDE * last)
+    expected, _ = transform_plane(frames[last].data, state)
+    assert out[last].data == expected
+    # frame i's keystream is the single stream shifted by 17*i bytes
+    assert expected == reference_transform(frames[last].data, KEY.mu, KEY.x0,
+                                           KEY.burn_in + PER_FRAME_STRIDE * last)
 
 
 def test_stream_round_trips_in_both_modes(make_frame):

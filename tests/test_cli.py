@@ -282,6 +282,14 @@ def test_keystream_hist_rejects_bad_shape(tmp_path):
                 "--bins", "50", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("n,bins", [("10", "0"), ("-1", "1")])
+def test_keystream_hist_rejects_non_positive_sizes(tmp_path, n, bins):
+    out = tmp_path / "hist.csv"
+    assert run(["keystream-hist", "--mu", "3.934", "--x0", "0.5", "--n", n,
+                "--bins", bins, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- exit codes
 
 
