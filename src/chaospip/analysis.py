@@ -19,20 +19,15 @@ from .errors import DegenerateInput, DimensionMismatch, EmptyInput
 from .keystream import KeyMaterial
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
+def _as_array(data) -> np.ndarray:
     if isinstance(data, (bytes, bytearray, memoryview)):
-        arr = np.frombuffer(data, dtype=np.uint8)
-    else:
-        arr = np.asarray(data)
-    return arr if dtype is None else arr.astype(dtype)
+        return np.frombuffer(data, dtype=np.uint8)
+    return np.asarray(data)
 
 
 def histogram256(data) -> np.ndarray:
     """Counts of each byte value 0..255; empty input gives all zeros."""
-    arr = _as_array(data)
-    if arr.size == 0:
-        return np.zeros(256, dtype=np.int64)
-    return np.bincount(arr.ravel().astype(np.uint8), minlength=256).astype(np.int64)
+    return np.bincount(_as_array(data).ravel().astype(np.uint8), minlength=256).astype(np.int64)
 
 
 def entropy_of_counts(counts) -> float:
@@ -47,10 +42,7 @@ def entropy_of_counts(counts) -> float:
 
 def shannon_entropy(data) -> float:
     """Entropy of a byte sequence, in [0, 8] bits."""
-    arr = _as_array(data)
-    if arr.size == 0:
-        raise EmptyInput("entropy of empty data is undefined")
-    return entropy_of_counts(histogram256(arr))
+    return entropy_of_counts(histogram256(data))
 
 
 def corr2d(a, b) -> float:
@@ -127,17 +119,20 @@ def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
     """Metrics between a plain frame and its encrypted counterpart."""
     if plain.shape != cipher.shape:
         raise DimensionMismatch(f"frame shapes differ: {plain.shape} vs {cipher.shape}")
+    # One histogram per plane; the whole-frame counts are their exact integer sum.
+    hp = [histogram256(plain.plane(c)) for c in range(plain.channels)]
+    hc = [histogram256(cipher.plane(c)) for c in range(plain.channels)]
     per = [
         ChannelMetrics(
-            entropy_plain=shannon_entropy(plain.plane(c)),
-            entropy_cipher=shannon_entropy(cipher.plane(c)),
+            entropy_plain=entropy_of_counts(hp[c]),
+            entropy_cipher=entropy_of_counts(hc[c]),
             corr=corr2d(plain.plane(c), cipher.plane(c)),
         )
         for c in range(plain.channels)
     ]
     return MetricsReport(
-        entropy_plain=shannon_entropy(plain.data),
-        entropy_cipher=shannon_entropy(cipher.data),
+        entropy_plain=entropy_of_counts(sum(hp)),
+        entropy_cipher=entropy_of_counts(sum(hc)),
         corr=float(np.mean([m.corr for m in per])),
         channels=per if plain.channels == 3 else None,
     )

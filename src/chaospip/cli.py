@@ -14,16 +14,8 @@ from pathlib import Path
 
 from . import analysis
 from .cipher import Frame, ReseedMode, process_stream
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    EmptyInput,
-    FixedPointError,
-    FormatError,
-    ParseError,
-    RangeError,
-)
-from .io import MAGIC, container_mode_for, read_container, read_pnm, write_container, write_pnm
+from .errors import FixedPointError, FormatError, ParseError, RangeError
+from .io import MAGIC, container_mode_for, read_container, read_pnm, read_raw, write_container, write_pnm
 from .keystream import DEFAULT_BURN_IN, KeyMaterial, derive_key_from_hex, derive_key_from_params
 
 EXIT_OK = 0
@@ -51,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="PGM/PPM file(s), or one raw planar file with --width/--height")
     p.add_argument("--out", required=True, help="output container path")
     _add_key_flags(p)
-    p.add_argument("--reseed", choices=["continuous", "per-frame"], default="continuous",
+    p.add_argument("--reseed", choices=[m.value for m in ReseedMode],
+                   default=ReseedMode.CONTINUOUS.value,
                    help="keystream handling across frames (default: continuous)")
     p.add_argument("--width", type=int, help="raw input: frame width")
     p.add_argument("--height", type=int, help="raw input: frame height")
@@ -111,26 +104,14 @@ def _load_input_frames(args: argparse.Namespace) -> list[Frame]:
             raise FormatError("raw input needs both --width and --height")
         if len(args.inputs) != 1:
             raise FormatError("raw input takes exactly one --in path")
-        blob = Path(args.inputs[0]).read_bytes()
-        frame_bytes = args.width * args.height * args.channels
-        if frame_bytes <= 0:
-            raise FormatError("raw dimensions must be positive")
-        if not blob or len(blob) % frame_bytes:
-            raise FormatError(
-                f"raw file holds {len(blob)} bytes, not a positive multiple of {frame_bytes}"
-            )
-        return [
-            Frame(args.width, args.height, args.channels,
-                  blob[i * frame_bytes : (i + 1) * frame_bytes])
-            for i in range(len(blob) // frame_bytes)
-        ]
+        return read_raw(Path(args.inputs[0]).read_bytes(), args.width, args.height, args.channels)
     return [read_pnm(Path(path).read_bytes()) for path in args.inputs]
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     key = _key_from_args(args)
     frames = _load_input_frames(args)
-    reseed = ReseedMode.PER_FRAME if args.reseed == "per-frame" else ReseedMode.CONTINUOUS
+    reseed = ReseedMode(args.reseed)
     encrypted = process_stream(frames, key, reseed)
     mode = container_mode_for(frames[0].channels, video=len(frames) > 1)
     out = Path(args.out)
@@ -225,7 +206,7 @@ def run(argv=None) -> int:
     except (ParseError, RangeError, FixedPointError) as exc:
         print(f"key error: {exc}", file=sys.stderr)
         return EXIT_KEY
-    except (FormatError, DimensionMismatch, DegenerateInput, EmptyInput, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every package data error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -17,6 +17,10 @@ Container side: the encrypted-payload file format. Layout, big-endian:
 
 followed by frame_count * width * height * channels payload bytes (frames
 concatenated, each channel-planar). The header never carries key material.
+
+Raw side: `read_raw` cuts concatenated channel-planar frames into
+Frames. It is the one cutter, for raw video files and container payloads
+alike.
 """
 
 from __future__ import annotations
@@ -91,7 +95,10 @@ def _int_token(buf: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(buf, pos)
     if not token.isdigit():
         raise FormatError(f"malformed {what}: {token!r}")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # more digits than int() accepts
+        raise FormatError(f"{what} has {len(token)} digits") from None
 
 
 def read_pnm(data: bytes) -> Frame:
@@ -173,12 +180,19 @@ def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]
         raise FormatError(f"bad geometry {width}x{height}, {count} frame(s)")
     if not mode.is_video and count != 1:
         raise FormatError(f"{mode.name} container must hold exactly one frame, got {count}")
-    frame_bytes = width * height * mode.channels
-    expected = HEADER_SIZE + count * frame_bytes
+    expected = HEADER_SIZE + count * width * height * mode.channels
     if len(data) != expected:
         raise FormatError(f"payload length {len(data) - HEADER_SIZE}, expected {expected - HEADER_SIZE}")
-    frames = [
-        Frame(width, height, mode.channels, data[HEADER_SIZE + i * frame_bytes : HEADER_SIZE + (i + 1) * frame_bytes])
-        for i in range(count)
-    ]
-    return frames, mode, reseed
+    return read_raw(memoryview(data)[HEADER_SIZE:], width, height, mode.channels), mode, reseed
+
+
+def read_raw(data: bytes | memoryview, width: int, height: int, channels: int) -> list[Frame]:
+    """Cut concatenated channel-planar frames into Frames, one copy each."""
+    if width < 1 or height < 1 or channels not in (1, 3):
+        raise FormatError(f"bad raw geometry {width}x{height}x{channels}")
+    frame_bytes = width * height * channels
+    view = memoryview(data)
+    if not view or len(view) % frame_bytes:
+        raise FormatError(f"raw data holds {len(view)} bytes, not a positive multiple of {frame_bytes}")
+    return [Frame(width, height, channels, view[i : i + frame_bytes])
+            for i in range(0, len(view), frame_bytes)]

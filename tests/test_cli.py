@@ -133,6 +133,26 @@ def test_raw_planar_video_input(tmp_path):
     assert back.read_bytes() == blob_path.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "size,flags,extra_in",
+    [
+        (12, ["--width", "4"], False),                    # --width without --height
+        (12, ["--width", "4", "--height", "3"], True),    # two --in paths
+        (13, ["--width", "4", "--height", "3"], False),   # not a whole number of frames
+        (12, ["--width", "0", "--height", "3"], False),   # zero width
+        (12, ["--width", "-4", "--height", "3"], False),  # negative width
+        (12, ["--width", "-4", "--height", "-3"], False), # negative product of both
+    ],
+)
+def test_raw_input_mistakes_exit_2(tmp_path, size, flags, extra_in):
+    blob_path = tmp_path / "clip.raw"
+    blob_path.write_bytes(bytes(size))
+    inputs = [str(blob_path)] * (2 if extra_in else 1)
+    container = tmp_path / "clip.cpip"
+    assert run(["encrypt", "--in", *inputs, "--out", str(container), *flags, *KEY_FLAGS]) == 2
+    assert not container.exists()
+
+
 def test_rgb_ppm_flow(tmp_path):
     frame = synthetic_rgb(16, 12, 7.0, seed=75)
     source = tmp_path / "plain.ppm"

@@ -53,6 +53,7 @@ def test_header_comments_and_odd_whitespace():
         b"P5\n2 2\n255",                        # missing payload separator
         b"P5\n2 2",                             # truncated header
         b"P5\n2 2\n255# comment with no newline",
+        b"P5 " + b"9" * 5000 + b" 1 255\n",   # more digits than int() accepts
     ],
 )
 def test_malformed_pnm_rejected(blob):
