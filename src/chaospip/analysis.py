@@ -8,7 +8,7 @@ map's density bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,8 +26,15 @@ def _as_array(data) -> np.ndarray:
 
 
 def histogram256(data) -> np.ndarray:
-    """Counts of each byte value 0..255; empty input gives all zeros."""
-    return np.bincount(_as_array(data).ravel().astype(np.uint8), minlength=256).astype(np.int64)
+    """Counts of each byte value 0..255; empty input gives all zeros.
+
+    Raises ValueError for a non-integer dtype or a value outside 0..255.
+    """
+    values = _as_array(data).ravel()
+    if values.dtype != np.uint8 and values.size:
+        if values.dtype.kind not in "iu" or values.min() < 0 or values.max() > 255:
+            raise ValueError(f"histogram256 needs byte values 0..255, got {values.dtype} data")
+    return np.bincount(values.astype(np.uint8, copy=False), minlength=256).astype(np.int64)
 
 
 def entropy_of_counts(counts) -> float:
@@ -56,12 +63,12 @@ def corr2d(a, b) -> float:
     b = _as_array(b).astype(np.float64)
     if a.shape != b.shape:
         raise DimensionMismatch(f"plane shapes differ: {a.shape} vs {b.shape}")
-    da = a - a.mean()
-    db = b - b.mean()
-    den = float(np.sqrt((da * da).sum() * (db * db).sum()))
+    a -= a.mean()  # astype made fresh copies, so centring in place is safe
+    b -= b.mean()
+    den = float(np.sqrt((a * a).sum() * (b * b).sum()))
     if den == 0.0:
         raise DegenerateInput("correlation is undefined for a constant plane")
-    return float((da * db).sum() / den)
+    return float((a * b).sum() / den)
 
 
 def key_sensitivity(frame: Frame, key_a: KeyMaterial, key_b: KeyMaterial) -> float:
@@ -87,6 +94,8 @@ def keystream_histogram(key: KeyMaterial, iterations: int, bins: int) -> np.ndar
         raise ValueError(f"iterations ({iterations!r}) must be >= bins ({bins!r})")
     counts = np.zeros(bins, dtype=np.int64)
     for states in keystream._orbit(keystream.seed(key).x, key.mu, iterations):
+        # Rebinding frees the list before `_orbit` builds the next one.
+        states = np.fromiter(states, np.float64, len(states))
         np.add.at(counts, np.minimum((states * bins).astype(np.int64), bins - 1), 1)
     return counts
 
@@ -102,31 +111,38 @@ class ChannelMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Plain/cipher comparison: entropies plus their correlation.
+    """Plain/cipher comparison: entropies, their correlation, histograms.
 
     For RGB frames `corr` is the mean of the per-channel coefficients and
     `channels` carries the per-channel breakdown; for grayscale frames
-    `channels` is None.
+    `channels` is None. `hist_plain` and `hist_cipher` hold one tuple of
+    256 byte-value counts per channel, the histograms the entropies come
+    from.
     """
 
     entropy_plain: float
     entropy_cipher: float
     corr: float
     channels: Optional[list[ChannelMetrics]] = None
+    hist_plain: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
+    hist_cipher: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
 
 def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
     """Metrics between a plain frame and its encrypted counterpart."""
     if plain.shape != cipher.shape:
         raise DimensionMismatch(f"frame shapes differ: {plain.shape} vs {cipher.shape}")
-    # One histogram per plane; the whole-frame counts are their exact integer sum.
-    hp = [histogram256(plain.plane(c)) for c in range(plain.channels)]
-    hc = [histogram256(cipher.plane(c)) for c in range(plain.channels)]
+    # Zero-copy plane views; one histogram per plane, and the whole-frame
+    # counts are their exact integer sum.
+    pv = np.frombuffer(plain.data, np.uint8).reshape(plain.channels, -1)
+    cv = np.frombuffer(cipher.data, np.uint8).reshape(plain.channels, -1)
+    hp = [histogram256(plane) for plane in pv]
+    hc = [histogram256(plane) for plane in cv]
     per = [
         ChannelMetrics(
             entropy_plain=entropy_of_counts(hp[c]),
             entropy_cipher=entropy_of_counts(hc[c]),
-            corr=corr2d(plain.plane(c), cipher.plane(c)),
+            corr=corr2d(pv[c], cv[c]),
         )
         for c in range(plain.channels)
     ]
@@ -135,4 +151,6 @@ def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
         entropy_cipher=entropy_of_counts(sum(hc)),
         corr=float(np.mean([m.corr for m in per])),
         channels=per if plain.channels == 3 else None,
+        hist_plain=tuple(tuple(h.tolist()) for h in hp),
+        hist_cipher=tuple(tuple(h.tolist()) for h in hc),
     )

@@ -110,10 +110,9 @@ def _load_input_frames(args: argparse.Namespace) -> list[Frame]:
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     key = _key_from_args(args)
-    frames = _load_input_frames(args)
     reseed = ReseedMode(args.reseed)
-    encrypted = process_stream(frames, key, reseed)
-    mode = container_mode_for(frames[0].channels, video=len(frames) > 1)
+    encrypted = process_stream(_load_input_frames(args), key, reseed)
+    mode = container_mode_for(encrypted[0].channels, video=len(encrypted) > 1)
     out = Path(args.out)
     out.write_bytes(write_container(encrypted, mode, reseed))
     if args.as_pnm:
@@ -121,7 +120,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
             suffix = ".pgm" if f.channels == 1 else ".ppm"
             name = out.name + (suffix if len(encrypted) == 1 else f".frame-{i:06d}{suffix}")
             out.with_name(name).write_bytes(write_pnm(f))
-    print(f"encrypted {len(frames)} frame(s) -> {out}", file=sys.stderr)
+    print(f"encrypted {len(encrypted)} frame(s) -> {out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -129,6 +128,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     key = _key_from_args(args)
     frames, _mode, reseed = read_container(Path(args.inputs).read_bytes())
     decrypted = process_stream(frames, key, reseed)
+    del frames  # so the output below is built while only one other copy is alive
     out = Path(args.out)
     if args.as_pnm:
         if len(decrypted) == 1:
@@ -154,12 +154,11 @@ def _load_cipher_file(path: str) -> Frame:
     return read_pnm(data)
 
 
-def _format_report(plain: Frame, cipher: Frame, report: analysis.MetricsReport) -> str:
+def _format_report(report: analysis.MetricsReport) -> str:
     lines = []
-    for label, frame in (("plain", plain), ("cipher", cipher)):
-        for c in range(frame.channels):
+    for label, hists in (("plain", report.hist_plain), ("cipher", report.hist_cipher)):
+        for c, counts in enumerate(hists):
             lines.append(f"# histogram {label} channel {c}")
-            counts = analysis.histogram256(frame.plane(c))
             lines.extend(f"{value},{count}" for value, count in enumerate(counts))
     lines.append(f"entropy_plain={report.entropy_plain!r}")
     lines.append(f"entropy_cipher={report.entropy_cipher!r}")
@@ -175,8 +174,7 @@ def _format_report(plain: Frame, cipher: Frame, report: analysis.MetricsReport) 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     plain = read_pnm(Path(args.plain).read_bytes())
     cipher = _load_cipher_file(args.cipher)
-    report = analysis.compare_frames(plain, cipher)
-    text = _format_report(plain, cipher, report)
+    text = _format_report(analysis.compare_frames(plain, cipher))
     if args.report:
         Path(args.report).write_text(text)
     else:

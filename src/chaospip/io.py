@@ -157,7 +157,7 @@ def write_container(
     header = _HEADER.pack(
         MAGIC, VERSION, int(mode), reseed_byte, 0, first.width, first.height, len(frames)
     )
-    return header + b"".join(f.data for f in frames)
+    return b"".join([header, *(f.data for f in frames)])
 
 
 def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]:

@@ -43,7 +43,7 @@ DEFAULT_BURN_IN = 1000
 _TWO_128 = 2.0**128
 
 # Most states `_orbit` holds at once, so memory stays bounded for any count.
-_CHUNK = 65536
+_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,21 @@ class KeystreamState:
     n: int = 0
 
 
-def _orbit(x: float, mu: float, count: int) -> Iterator[np.ndarray]:
-    """The `count` map states after `x`, as float64 arrays of <= _CHUNK states.
+def _orbit(x: float, mu: float, count: int) -> Iterator[list[float]]:
+    """The `count` map states after `x`, as lists of <= _CHUNK floats.
 
     The parentheses fix the evaluation order t = 1-x, u = x*t, mu*u, which
     keeps trajectories bit-exact; do not reassociate them.
     """
     while count > 0:
         size = min(count, _CHUNK)
-        yield np.array([x := mu * (x * (1.0 - x)) for _ in range(size)], dtype=np.float64)
+        yield [x := mu * (x * (1.0 - x)) for _ in range(size)]
         count -= size
 
 
 def logistic_step(x: float, mu: float) -> float:
     """One map iterate, evaluated exactly as t = 1-x, u = x*t, mu*u."""
-    return float(next(_orbit(x, mu, 1))[0])
+    return next(_orbit(x, mu, 1))[0]
 
 
 def _parse_decimal(text: str, name: str) -> float:
@@ -164,7 +164,7 @@ def skip(state: KeystreamState, count: int) -> KeystreamState:
         raise ValueError(f"count must be >= 0, got {count!r}")
     x = state.x
     for states in _orbit(x, state.mu, count):
-        x = float(states[-1])
+        x = states[-1]
     return KeystreamState(x=x, mu=state.mu, n=state.n + count)
 
 
@@ -175,8 +175,10 @@ def take_bytes(state: KeystreamState, count: int) -> tuple[bytes, KeystreamState
     out = np.empty(count, dtype=np.uint8)
     x, pos, low = state.x, 0, state.n & 0xFF
     for states in _orbit(x, state.mu, count):
+        # Rebinding frees the list before `_orbit` builds the next one.
+        x, states = states[-1], np.fromiter(states, np.float64, len(states))
         end = pos + len(states)
         raw = np.minimum((states * 256.0).astype(np.int64), 255)
         out[pos:end] = raw ^ ((np.arange(pos, end) + low) & 0xFF)
-        x, pos = float(states[-1]), end
+        pos = end
     return out.tobytes(), KeystreamState(x=x, mu=state.mu, n=state.n + count)

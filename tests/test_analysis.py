@@ -41,6 +41,12 @@ def test_histogram_empty():
     assert (histogram256(b"") == 0).all()
 
 
+@pytest.mark.parametrize("values", [[256], [-1], [300.2], [1.7]], ids=str)
+def test_histogram_rejects_values_that_are_not_bytes(values):
+    with pytest.raises(ValueError):
+        histogram256(np.array(values))
+
+
 def test_histogram_sums_to_input_length():
     rng = np.random.default_rng(20)
     data = rng.integers(0, 256, size=5000, dtype=np.uint8).tobytes()
@@ -124,6 +130,14 @@ def test_corr_scale_shift_affects_only_sign():
         assert abs(corr2d(a, alpha * b + beta) - math.copysign(1.0, alpha) * r) <= 1e-9
 
 
+def test_corr_leaves_float_inputs_unmodified():
+    rng = np.random.default_rng(28)
+    a, b = rng.standard_normal((2, 30, 30))
+    a0, b0 = a.copy(), b.copy()
+    corr2d(a, b)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
 def test_corr_rejects_shape_mismatch_and_constants():
     with pytest.raises(DimensionMismatch):
         corr2d(np.zeros((2, 3)), np.zeros((3, 2)))
@@ -193,7 +207,7 @@ def test_keystream_histogram_preconditions():
     ],
 )
 def test_keystream_histogram_matches_float_loop(mu, x0, burn_in, bins):
-    iterations = 70_001  # more than one 65536-state chunk of the keystream kernel
+    iterations = 70_001  # several 16384-state chunks of the keystream kernel
     x = x0
     for _ in range(burn_in):
         x = mu * (x * (1.0 - x))
@@ -219,8 +233,11 @@ def test_keystream_histogram_shows_attractor_bias():
 def test_compare_frames_grayscale():
     frame = synthetic_gray(64, 64, 7.1, seed=33)
     key = KeyMaterial(mu=3.934, x0=0.5250, burn_in=20)
-    report = compare_frames(frame, encrypt_image(frame, key))
+    cipher = encrypt_image(frame, key)
+    report = compare_frames(frame, cipher)
     assert report.channels is None
+    assert report.hist_plain == (tuple(histogram256(frame.data).tolist()),)
+    assert report.hist_cipher == (tuple(histogram256(cipher.data).tolist()),)
     assert 0.0 <= report.entropy_plain <= 8.0
     assert report.entropy_cipher > report.entropy_plain
     assert abs(report.corr) < 0.2
@@ -229,8 +246,11 @@ def test_compare_frames_grayscale():
 def test_compare_frames_rgb_carries_per_channel_metrics():
     frame = synthetic_rgb(32, 32, 7.0, seed=34)
     key = KeyMaterial(mu=3.934, x0=0.5250, burn_in=20)
-    report = compare_frames(frame, encrypt_image(frame, key))
+    cipher = encrypt_image(frame, key)
+    report = compare_frames(frame, cipher)
     assert report.channels is not None and len(report.channels) == 3
+    assert report.hist_plain == tuple(tuple(histogram256(frame.plane(c)).tolist()) for c in range(3))
+    assert report.hist_cipher == tuple(tuple(histogram256(cipher.plane(c)).tolist()) for c in range(3))
     assert report.corr == pytest.approx(np.mean([m.corr for m in report.channels]), abs=0)
 
 

@@ -154,7 +154,7 @@ def test_wrong_key_decrypt_is_decorrelated_noise():
 
 @pytest.mark.parametrize("length,burn_in", [(65535, 0), (65536, 1), (65537, 255), (131077, 1000)])
 def test_plane_matches_reference_across_keystream_chunks(length, burn_in):
-    # the lengths straddle the 65536-state chunks of the keystream kernel,
+    # the lengths straddle 16384-state chunks of the keystream kernel,
     # and the burn-ins start the wrapping iterate counter at different phases
     mu, x0 = math.nextafter(4.0, 0.0), math.nextafter(1.0, 0.0)  # hex-key extremes
     data = np.random.default_rng(length).integers(0, 256, size=length, dtype=np.uint8).tobytes()

@@ -10,10 +10,12 @@ from chaospip import (
     derive_key_from_hex,
     derive_key_from_params,
     encrypt_image,
+    histogram256,
     read_container,
     read_pnm,
     write_pnm,
 )
+from chaospip import analysis
 from chaospip.cli import run
 
 from synthimg import synthetic_gray, synthetic_rgb
@@ -227,21 +229,36 @@ def test_analyze_report_format_gray(tmp_path, capsys):
     assert abs(float(values["corr"])) < 0.2
 
 
-def test_analyze_rgb_report_has_per_channel_lines(tmp_path):
+def test_analyze_rgb_report_has_per_channel_lines(tmp_path, monkeypatch):
     frame = synthetic_rgb(24, 24, 7.0, seed=65)
     plain_path = tmp_path / "plain.ppm"
     plain_path.write_bytes(write_pnm(frame))
     cipher_path = tmp_path / "cipher.ppm"
     key = KeyMaterial(3.934, 0.5250, 50)
-    cipher_path.write_bytes(write_pnm(encrypt_image(frame, key)))
+    cipher = encrypt_image(frame, key)
+    cipher_path.write_bytes(write_pnm(cipher))
     report_path = tmp_path / "report.txt"
+    calls = []
+
+    def counting_histogram256(data):
+        calls.append(1)
+        return histogram256(data)
+
+    monkeypatch.setattr(analysis, "histogram256", counting_histogram256)
     assert run(["analyze", "--plain", str(plain_path), "--cipher", str(cipher_path),
                 "--report", str(report_path)]) == 0
+    assert len(calls) == 6  # one histogram per plane, plain and cipher
     text = report_path.read_text()
     for c in range(3):
         assert f"# histogram plain channel {c}" in text
         assert f"entropy_cipher_ch{c}=" in text
         assert f"corr_ch{c}=" in text
+    blocks = re.findall(r"# histogram (\w+) channel (\d)\n((?:\d+,\d+\n){256})", text)
+    assert len(blocks) == 6
+    for label, c, rows in blocks:
+        source = frame if label == "plain" else cipher
+        expected = "".join(f"{v},{n}\n" for v, n in enumerate(histogram256(source.plane(int(c)))))
+        assert rows == expected
 
 
 def test_analyze_full_size_image_reaches_target_entropy(tmp_path, capsys, table1_frames):

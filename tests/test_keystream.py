@@ -198,6 +198,16 @@ def test_skip_one_matches_step_oracle():
     assert state.n == 1
 
 
+@pytest.mark.parametrize("count", [16383, 16384, 16385, 70001])
+def test_skip_matches_float_loop_across_chunks(count):
+    # the counts cross the 16384-state chunk edges of the keystream kernel
+    mu, x = 3.934, 0.5250
+    state = skip(KeystreamState(x=x, mu=mu, n=5), count)
+    for _ in range(count):
+        x = mu * (x * (1.0 - x))
+    assert state == KeystreamState(x=x, mu=mu, n=5 + count)
+
+
 def test_skip_rejects_negative():
     with pytest.raises(ValueError):
         skip(KeystreamState(x=0.5, mu=3.9, n=0), -1)
