@@ -93,10 +93,8 @@ def keystream_histogram(key: KeyMaterial, iterations: int, bins: int) -> np.ndar
     if iterations < bins:
         raise ValueError(f"iterations ({iterations!r}) must be >= bins ({bins!r})")
     counts = np.zeros(bins, dtype=np.int64)
-    for states in keystream._orbit(keystream.seed(key).x, key.mu, iterations):
-        # Rebinding frees the list before `_orbit` builds the next one.
-        states = np.fromiter(states, np.float64, len(states))
-        np.add.at(counts, np.minimum((states * bins).astype(np.int64), bins - 1), 1)
+    x = keystream.seed(key).x
+    keystream._kernel(x, key.mu).bins(x, key.mu, iterations, bins, counts)
     return counts
 
 

@@ -13,18 +13,35 @@ into an image leaves measurable plaintext correlation in the ciphertext.
 The cycling counter balances every bit position without touching
 determinism, seed sensitivity, or the cipher's involution.
 
-`_orbit` is the single definition of the recurrence; every other reader
-of map states (`skip`, `take_bytes`, `analysis.keystream_histogram`) takes
-them from it and extracts bytes or bins with numpy, which is exact: numpy's
-binary64 multiply and truncation of positive values match Python's.
+Every reader of map states (`skip`, `take_bytes`,
+`analysis.keystream_histogram`) goes through one kernel of three
+operations: advance the state, write key bytes, or count states into
+histogram bins. There are two kernels. The pure-Python one reads states
+from `_orbit`, the single Python definition of the recurrence, and
+extracts bytes or bins with numpy, which is exact: numpy's binary64
+multiply and truncation of positive values match Python's. It is the
+oracle. The native one is the C loop in `_kernel.c`, compiled on first use
+with `cc -O2 -ffp-contract=off -shared -fPIC` into a per-user cache
+directory and loaded through ctypes. It must match the oracle bit for bit,
+so the compiler may not change a single rounding: `-ffp-contract=off`
+forbids fused multiply-adds, which round once where Python rounds twice,
+and `-ffast-math`, `-march=native` and any other flag that lets the
+compiler reassociate or change precision are never used.
+A short probe against the oracle guards each load. If the library cannot
+be built or loaded, or `CHAOSPIP_BACKEND=python` is set, the oracle runs
+instead; `BACKEND` names the kernel in use ("native" or "python").
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 import string
 from dataclasses import dataclass
-from typing import Iterator
+from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -162,9 +179,7 @@ def skip(state: KeystreamState, count: int) -> KeystreamState:
     """State after `count` extra iterates (burn-in, frame offsets)."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count!r}")
-    x = state.x
-    for states in _orbit(x, state.mu, count):
-        x = states[-1]
+    x = _kernel(state.x, state.mu).advance(state.x, state.mu, count)
     return KeystreamState(x=x, mu=state.mu, n=state.n + count)
 
 
@@ -173,12 +188,197 @@ def take_bytes(state: KeystreamState, count: int) -> tuple[bytes, KeystreamState
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count!r}")
     out = np.empty(count, dtype=np.uint8)
-    x, pos, low = state.x, 0, state.n & 0xFF
-    for states in _orbit(x, state.mu, count):
+    x = _kernel(state.x, state.mu).bytes(state.x, state.mu, state.n & 0xFF, count, out)
+    return out.tobytes(), KeystreamState(x=x, mu=state.mu, n=state.n + count)
+
+
+# ---------------------------------------------------------------- kernels
+
+
+def _py_advance(x: float, mu: float, count: int) -> float:
+    for states in _orbit(x, mu, count):
+        x = states[-1]
+    return x
+
+
+def _py_bytes(x: float, mu: float, low: int, count: int, out: np.ndarray) -> float:
+    pos = 0
+    for states in _orbit(x, mu, count):
         # Rebinding frees the list before `_orbit` builds the next one.
         x, states = states[-1], np.fromiter(states, np.float64, len(states))
         end = pos + len(states)
         raw = np.minimum((states * 256.0).astype(np.int64), 255)
         out[pos:end] = raw ^ ((np.arange(pos, end) + low) & 0xFF)
         pos = end
-    return out.tobytes(), KeystreamState(x=x, mu=state.mu, n=state.n + count)
+    return x
+
+
+def _py_bins(x: float, mu: float, count: int, bins: int, counts: np.ndarray) -> float:
+    for states in _orbit(x, mu, count):
+        x, states = states[-1], np.fromiter(states, np.float64, len(states))
+        counts += np.bincount(np.minimum((states * bins).astype(np.int64), bins - 1), minlength=bins)
+    return x
+
+
+class _Kernel(NamedTuple):
+    """The three operations on map states; each returns the last state.
+
+    advance(x, mu, count); bytes(x, mu, low, count, out) writes key byte i,
+    whitened with (low + i) & 0xFF, to out[i]; bins(x, mu, count, bins,
+    counts) adds each state's bin to an int64 histogram.
+    """
+
+    name: str
+    advance: Callable[[float, float, int], float]
+    bytes: Callable[[float, float, int, int, np.ndarray], float]
+    bins: Callable[[float, float, int, int, np.ndarray], float]
+
+
+_PYTHON = _Kernel("python", _py_advance, _py_bytes, _py_bins)
+
+# ctypes wraps integers to 64 bits without an error (c_int64(2**64 + 5) is
+# 5), so the native kernel gets counts in pieces of at most this many
+# iterates and the iterate counter as its low byte only.
+_PIECE = 2**62
+
+
+def _address(array: np.ndarray, dtype, size: int) -> int:
+    """Address of `array`, once it is known to hold `size` C-contiguous `dtype` items."""
+    if array.dtype != dtype or not array.flags.c_contiguous or array.size < size:
+        raise ValueError(f"kernel needs {size} contiguous {np.dtype(dtype)} items")
+    return array.ctypes.data
+
+
+def _native_kernel(lib) -> _Kernel:
+    """The C functions of `lib` behind the `_Kernel` interface."""
+
+    def advance(x, mu, count):
+        for pos in range(0, count, _PIECE):
+            x = lib.chaospip_advance(x, mu, min(count - pos, _PIECE))
+        return x
+
+    def bytes_(x, mu, low, count, out):
+        addr = _address(out, np.uint8, count)
+        for pos in range(0, count, _PIECE):
+            x = lib.chaospip_bytes(x, mu, (low + pos) & 0xFF, min(count - pos, _PIECE), addr + pos)
+        return x
+
+    def bins(x, mu, count, bins, counts):
+        if bins < 1:
+            raise ValueError(f"bins must be >= 1, got {bins!r}")
+        addr = _address(counts, np.int64, bins)
+        for pos in range(0, count, _PIECE):
+            x = lib.chaospip_bins(x, mu, min(count - pos, _PIECE), bins, addr)
+        return x
+
+    return _Kernel("native", advance, bytes_, bins)
+
+
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _cache_dirs() -> Iterator[Path]:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    if os.path.isabs(base):  # relative (or unresolved "~") bases are ignored
+        yield Path(base, "chaospip")
+    import tempfile
+
+    yield Path(tempfile.gettempdir(), f"chaospip-{os.getuid()}")
+
+
+def _cache_dir() -> Path:
+    """The first candidate directory that is ours, writable and not shared."""
+    for directory in _cache_dirs():
+        try:
+            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+            st = directory.stat()
+        except OSError:
+            continue
+        if st.st_uid == os.getuid() and not st.st_mode & 0o022 and os.access(directory, os.W_OK):
+            return directory
+    raise OSError("no private writable cache directory")
+
+
+def _build(source: Path, target: Path) -> None:
+    """Compile `source` to `target`, published whole with os.replace."""
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *_FLAGS, "-o", tmp, str(source)], check=True, capture_output=True,
+                       timeout=300)
+        os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cannot compile {source.name}: {exc}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _load_library():
+    """The compiled kernel, built into the cache first if it is not there."""
+    import ctypes
+    import hashlib
+    import sysconfig
+
+    source = Path(__file__).with_name("_kernel.c")
+    tag = hashlib.sha256(b"\0".join(
+        [source.read_bytes(), " ".join(_FLAGS).encode(), sysconfig.get_platform().encode()]
+    )).hexdigest()[:20]
+    path = _cache_dir() / f"kernel-{tag}.so"
+    if not path.exists():
+        _build(source, path)
+    lib = ctypes.CDLL(str(path))
+    f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+    for name, argtypes in [("chaospip_advance", [f64, f64, i64]),
+                           ("chaospip_bytes", [f64, f64, i64, i64, ptr]),
+                           ("chaospip_bins", [f64, f64, i64, i64, ptr])]:
+        function = getattr(lib, name)
+        function.argtypes, function.restype = argtypes, f64
+    return lib
+
+
+def _agrees(kernel: _Kernel) -> bool:
+    """Whether `kernel` reproduces the oracle on a short probe orbit.
+
+    This catches a compiler that fuses or widens float operations in spite
+    of the flags, which would change every keystream after a few iterates.
+    """
+    x, mu, count, bins = 0.4, 3.99, 1000, 97
+    outs = [np.empty(count, np.uint8) for _ in range(2)]
+    hists = [np.zeros(bins, np.int64) for _ in range(2)]
+    ends = [(k.advance(x, mu, count), k.bytes(x, mu, 7, count, out), k.bins(x, mu, count, bins, h))
+            for k, out, h in zip((kernel, _PYTHON), outs, hists)]
+    return ends[0] == ends[1] and (outs[0] == outs[1]).all() and (hists[0] == hists[1]).all()
+
+
+@functools.cache
+def _loaded() -> _Kernel:
+    """The native kernel, or the oracle when it is switched off or fails to
+    build, load or agree with the oracle."""
+    if os.environ.get("CHAOSPIP_BACKEND") == "python" or os.name != "posix":
+        return _PYTHON
+    try:
+        kernel = _native_kernel(_load_library())
+    except (OSError, AttributeError):  # AttributeError: a symbol is missing
+        return _PYTHON
+    return kernel if _agrees(kernel) else _PYTHON
+
+
+def _kernel(x: float, mu: float) -> _Kernel:
+    """The kernel for a state.
+
+    The native kernel takes only x in [0, 1] and mu in [0, 4]. The map keeps
+    that interval invariant, so C never casts NaN or inf to an integer,
+    which is undefined behaviour; any other hand-built state takes the oracle.
+    """
+    return _loaded() if 0.0 <= x <= 1.0 and 0.0 <= mu <= 4.0 else _PYTHON
+
+
+def __getattr__(name: str):
+    # BACKEND is looked up on first use, so importing this module builds nothing.
+    if name == "BACKEND":
+        return _loaded().name
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
