@@ -28,8 +28,8 @@ forbids fused multiply-adds, which round once where Python rounds twice,
 and `-ffast-math`, `-march=native` and any other flag that lets the
 compiler reassociate or change precision are never used.
 A short probe against the oracle guards each load. If the library cannot
-be built or loaded, or `CHAOSPIP_BACKEND=python` is set, the oracle runs
-instead; `BACKEND` names the kernel in use ("native" or "python").
+be built, loaded or agree with the probe, the oracle runs instead;
+`BACKEND` names the kernel in use ("native" or "python").
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import contextlib
 import functools
 import math
 import os
+import stat
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -258,10 +259,8 @@ def _native_kernel(lib) -> _Kernel:
         return x
 
     def bytes_(x, mu, low, count, out):
-        addr = _address(out, np.uint8, count)
-        for pos in range(0, count, _PIECE):
-            x = lib.chaospip_bytes(x, mu, (low + pos) & 0xFF, min(count - pos, _PIECE), addr + pos)
-        return x
+        # No allocatable buffer holds _PIECE bytes, so one call always fits.
+        return lib.chaospip_bytes(x, mu, low, count, _address(out, np.uint8, count))
 
     def bins(x, mu, count, bins, counts):
         if bins < 1:
@@ -278,23 +277,30 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _cache_dirs() -> Iterator[Path]:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    if os.path.isabs(base):  # relative (or unresolved "~") bases are ignored
-        yield Path(base, "chaospip")
+    # Relative bases (or an unresolved "~") are skipped, as XDG asks.
+    for base in (os.environ.get("XDG_CACHE_HOME", ""), os.path.expanduser("~/.cache")):
+        if os.path.isabs(base):
+            yield Path(base, "chaospip")
     import tempfile
 
     yield Path(tempfile.gettempdir(), f"chaospip-{os.getuid()}")
 
 
 def _cache_dir() -> Path:
-    """The first candidate directory that is ours, writable and not shared."""
+    """The first candidate directory that is ours, writable and not shared.
+
+    A symlink is refused: in a sticky shared directory such as /tmp another
+    user could create it first and repoint it after the check, but a real
+    directory this user owns there cannot be swapped out.
+    """
     for directory in _cache_dirs():
         try:
             directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-            st = directory.stat()
+            st = directory.lstat()
         except OSError:
             continue
-        if st.st_uid == os.getuid() and not st.st_mode & 0o022 and os.access(directory, os.W_OK):
+        if (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+                and os.access(directory, os.W_OK)):
             return directory
     raise OSError("no private writable cache directory")
 
@@ -356,9 +362,9 @@ def _agrees(kernel: _Kernel) -> bool:
 
 @functools.cache
 def _loaded() -> _Kernel:
-    """The native kernel, or the oracle when it is switched off or fails to
-    build, load or agree with the oracle."""
-    if os.environ.get("CHAOSPIP_BACKEND") == "python" or os.name != "posix":
+    """The native kernel, or the oracle when it fails to build, load or
+    agree with the oracle."""
+    if os.name != "posix":
         return _PYTHON
     try:
         kernel = _native_kernel(_load_library())

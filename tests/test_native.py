@@ -150,8 +150,7 @@ def test_out_of_domain_state_takes_the_oracle(monkeypatch, x, mu):
     assert got == want
 
 
-@pytest.mark.skipif(shutil.which("cc") is None or "CHAOSPIP_BACKEND" in os.environ,
-                    reason="needs a C compiler and the default backend")
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 def test_compiler_on_path_means_native_backend():
     # A broken build would fall back silently and lose the speed-up.
     assert keystream.BACKEND == "native"
@@ -162,8 +161,7 @@ def test_without_compiler_falls_back_to_identical_output(tmp_path, make_frame):
     plain = tmp_path / "plain.ppm"
     plain.write_bytes(write_pnm(frame))
     argv = ["encrypt", "--in", str(plain), "--mu", "3.934", "--x0", "0.5250", "--out"]
-    env = {k: v for k, v in os.environ.items() if k != "CHAOSPIP_BACKEND"}
-    env.update(PATH="", XDG_CACHE_HOME=str(tmp_path / "cache"),
+    env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(tmp_path / "cache"),
                PYTHONPATH=str(Path(keystream.__file__).resolve().parents[1]))
     script = ("import sys; from chaospip import cli, keystream; code = cli.run(sys.argv[1:]); "
               "print(keystream.BACKEND); sys.exit(code)")
@@ -175,16 +173,49 @@ def test_without_compiler_falls_back_to_identical_output(tmp_path, make_frame):
     assert (tmp_path / "fallback.cpip").read_bytes() == (tmp_path / "default.cpip").read_bytes()
 
 
+def blocked_home(tmp_path, monkeypatch) -> Path:
+    """Point HOME at a directory where ~/.cache/chaospip cannot be made."""
+    home = tmp_path / "home"
+    (home / ".cache").mkdir(parents=True)
+    (home / ".cache" / "chaospip").write_bytes(b"")
+    monkeypatch.setenv("HOME", str(home))
+    return home
+
+
 def test_shared_cache_directory_is_not_used(tmp_path, monkeypatch):
     shared = tmp_path / "xdg" / "chaospip"
     shared.mkdir(parents=True)
     shared.chmod(0o777)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    blocked_home(tmp_path, monkeypatch)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     private = keystream._cache_dir()
     assert private == tmp_path / "tmp" / f"chaospip-{os.getuid()}"
     assert private.stat().st_mode & 0o777 == 0o700
+
+
+def test_symlinked_cache_directory_is_not_used(tmp_path, monkeypatch):
+    # Another user could create the shared-temp name first as a symlink and
+    # repoint it after the check, so even a link to a private directory of
+    # ours is refused.
+    target = tmp_path / "ours"
+    target.mkdir(mode=0o700)
+    (tmp_path / "tmp").mkdir()
+    (tmp_path / "tmp" / f"chaospip-{os.getuid()}").symlink_to(target)
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    blocked_home(tmp_path, monkeypatch)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    with pytest.raises(OSError, match="no private writable cache directory"):
+        keystream._cache_dir()
+
+
+def test_relative_xdg_cache_home_falls_back_to_home_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert keystream._cache_dir() == tmp_path / "home" / ".cache" / "chaospip"
+    assert not (tmp_path / "tmp").exists()
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
