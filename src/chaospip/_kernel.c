@@ -5,9 +5,10 @@
  * x = mu * u, each rounded once in binary64: compile with -ffp-contract=off
  * (no fused multiply-add) and never with -ffast-math or reassociation.
  *
- * Callers keep x in [0, 1] and mu in [0, 4]. The map keeps that interval
- * invariant, so x * 256 and x * bins stay finite and non-negative and the
- * casts below are defined.
+ * Callers guarantee x in [0, 1], mu in [0, 4] and 0 <= count < 2**63:
+ * keystream.KeystreamState holds no other state, and the Python callers
+ * refuse larger counts. The map keeps that interval invariant, so x * 256
+ * and x * bins stay finite and non-negative and the casts below are defined.
  */
 
 #include <stdint.h>

@@ -92,9 +92,8 @@ def keystream_histogram(key: KeyMaterial, iterations: int, bins: int) -> np.ndar
         raise ValueError(f"bins must be >= 1, got {bins!r}")
     if iterations < bins:
         raise ValueError(f"iterations ({iterations!r}) must be >= bins ({bins!r})")
-    counts = np.zeros(bins, dtype=np.int64)
-    x = keystream.seed(key).x
-    keystream._kernel(x, key.mu).bins(x, key.mu, iterations, bins, counts)
+    keystream._check_count(iterations)
+    counts, _x = keystream._loaded().bins(keystream.seed(key).x, key.mu, iterations, bins)
     return counts
 
 

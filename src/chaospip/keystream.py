@@ -15,7 +15,7 @@ determinism, seed sensitivity, or the cipher's involution.
 
 Every reader of map states (`skip`, `take_bytes`,
 `analysis.keystream_histogram`) goes through one kernel of three
-operations: advance the state, write key bytes, or count states into
+operations: advance the state, make key bytes, or count states into
 histogram bins. There are two kernels. The pure-Python one reads states
 from `_orbit`, the single Python definition of the recurrence, and
 extracts bytes or bins with numpy, which is exact: numpy's binary64
@@ -30,6 +30,11 @@ compiler reassociate or change precision are never used.
 A short probe against the oracle guards each load. If the library cannot
 be built, loaded or agree with the probe, the oracle runs instead;
 `BACKEND` names the kernel in use ("native" or "python").
+
+The C loop needs x in [0, 1], mu in [0, 4] and counts below 2**63, and
+these hold by construction: `KeystreamState` refuses other states, the
+binary64 map keeps [0, 1] invariant for such mu, and every reader of map
+states refuses larger counts, which no kernel could finish anyway.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 import os
 import stat
 import string
@@ -83,8 +89,8 @@ class KeyMaterial:
             raise FixedPointError(
                 f"x0 = 1 - 1/mu = {self.x0!r} is a fixed point and would yield a constant keystream"
             )
-        if self.burn_in < 0:
-            raise RangeError(f"burn_in must be >= 0, got {self.burn_in!r}")
+        if not 0 <= self.burn_in < 2**63:
+            raise RangeError(f"burn_in must lie in [0, 2**63), got {self.burn_in!r}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +99,19 @@ class KeystreamState:
 
     States are plain values: advancing returns a new state, so a state can
     be handed between execution contexts but never mutates under anyone.
+    Only x in [0, 1] and mu in [0, 4] are states (NaN is neither); the map
+    never leaves that domain, and the native kernel relies on it.
     """
 
     x: float
     mu: float
     n: int = 0
+
+    def __post_init__(self):
+        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.mu <= 4.0):
+            raise RangeError(
+                f"a state needs 0 <= x <= 1 and 0 <= mu <= 4, got x={self.x!r}, mu={self.mu!r}"
+            )
 
 
 def _orbit(x: float, mu: float, count: int) -> Iterator[list[float]]:
@@ -176,21 +190,25 @@ def next_key_byte(state: KeystreamState) -> tuple[int, KeystreamState]:
     return key[0], state
 
 
+def _check_count(count: int) -> None:
+    """Refuse counts outside [0, 2**63): C counts iterates in int64, and
+    ctypes wraps larger integers without an error."""
+    if not 0 <= operator.index(count) < 2**63:
+        raise ValueError(f"count must lie in [0, 2**63), got {count!r}")
+
+
 def skip(state: KeystreamState, count: int) -> KeystreamState:
     """State after `count` extra iterates (burn-in, frame offsets)."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count!r}")
-    x = _kernel(state.x, state.mu).advance(state.x, state.mu, count)
+    _check_count(count)
+    x = _loaded().advance(state.x, state.mu, count)
     return KeystreamState(x=x, mu=state.mu, n=state.n + count)
 
 
 def take_bytes(state: KeystreamState, count: int) -> tuple[bytes, KeystreamState]:
     """`count` key bytes at once; identical to `count` next_key_byte calls."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count!r}")
-    out = np.empty(count, dtype=np.uint8)
-    x = _kernel(state.x, state.mu).bytes(state.x, state.mu, state.n & 0xFF, count, out)
-    return out.tobytes(), KeystreamState(x=x, mu=state.mu, n=state.n + count)
+    _check_count(count)
+    keys, x = _loaded().bytes(state.x, state.mu, state.n & 0xFF, count)
+    return keys, KeystreamState(x=x, mu=state.mu, n=state.n + count)
 
 
 # ---------------------------------------------------------------- kernels
@@ -202,7 +220,8 @@ def _py_advance(x: float, mu: float, count: int) -> float:
     return x
 
 
-def _py_bytes(x: float, mu: float, low: int, count: int, out: np.ndarray) -> float:
+def _py_bytes(x: float, mu: float, low: int, count: int) -> tuple[bytes, float]:
+    out = np.empty(count, dtype=np.uint8)
     pos = 0
     for states in _orbit(x, mu, count):
         # Rebinding frees the list before `_orbit` builds the next one.
@@ -211,66 +230,53 @@ def _py_bytes(x: float, mu: float, low: int, count: int, out: np.ndarray) -> flo
         raw = np.minimum((states * 256.0).astype(np.int64), 255)
         out[pos:end] = raw ^ ((np.arange(pos, end) + low) & 0xFF)
         pos = end
-    return x
+    return out.tobytes(), x
 
 
-def _py_bins(x: float, mu: float, count: int, bins: int, counts: np.ndarray) -> float:
+def _py_bins(x: float, mu: float, count: int, bins: int) -> tuple[np.ndarray, float]:
+    counts = np.zeros(bins, dtype=np.int64)
     for states in _orbit(x, mu, count):
         x, states = states[-1], np.fromiter(states, np.float64, len(states))
         counts += np.bincount(np.minimum((states * bins).astype(np.int64), bins - 1), minlength=bins)
-    return x
+    return counts, x
 
 
 class _Kernel(NamedTuple):
     """The three operations on map states; each returns the last state.
 
-    advance(x, mu, count); bytes(x, mu, low, count, out) writes key byte i,
-    whitened with (low + i) & 0xFF, to out[i]; bins(x, mu, count, bins,
-    counts) adds each state's bin to an int64 histogram.
+    advance(x, mu, count); bytes(x, mu, low, count) -> (keys, x), key byte i
+    whitened with (low + i) & 0xFF; bins(x, mu, count, bins) -> (int64 counts,
+    x). Callers pass a `KeystreamState`'s x and mu and a count below 2**63.
     """
 
     name: str
     advance: Callable[[float, float, int], float]
-    bytes: Callable[[float, float, int, int, np.ndarray], float]
-    bins: Callable[[float, float, int, int, np.ndarray], float]
+    bytes: Callable[[float, float, int, int], tuple[bytes, float]]
+    bins: Callable[[float, float, int, int], tuple[np.ndarray, float]]
 
 
 _PYTHON = _Kernel("python", _py_advance, _py_bytes, _py_bins)
 
-# ctypes wraps integers to 64 bits without an error (c_int64(2**64 + 5) is
-# 5), so the native kernel gets counts in pieces of at most this many
-# iterates and the iterate counter as its low byte only.
-_PIECE = 2**62
-
-
-def _address(array: np.ndarray, dtype, size: int) -> int:
-    """Address of `array`, once it is known to hold `size` C-contiguous `dtype` items."""
-    if array.dtype != dtype or not array.flags.c_contiguous or array.size < size:
-        raise ValueError(f"kernel needs {size} contiguous {np.dtype(dtype)} items")
-    return array.ctypes.data
-
 
 def _native_kernel(lib) -> _Kernel:
     """The C functions of `lib` behind the `_Kernel` interface."""
+    import ctypes
 
-    def advance(x, mu, count):
-        for pos in range(0, count, _PIECE):
-            x = lib.chaospip_advance(x, mu, min(count - pos, _PIECE))
-        return x
+    def bytes_(x, mu, low, count):
+        # numpy allocates, as in the oracle: a bytearray or create_string_buffer
+        # changed glibc's heap reuse and slowed repeated 1080p calls by 8-40%.
+        out = np.empty(count, dtype=np.uint8)
+        x = lib.chaospip_bytes(x, mu, low, count, (ctypes.c_char * count).from_buffer(out))
+        return out.tobytes(), x
 
-    def bytes_(x, mu, low, count, out):
-        # No allocatable buffer holds _PIECE bytes, so one call always fits.
-        return lib.chaospip_bytes(x, mu, low, count, _address(out, np.uint8, count))
-
-    def bins(x, mu, count, bins, counts):
-        if bins < 1:
+    def bins(x, mu, count, bins):
+        if bins < 1:  # C writes counts[bins - 1]
             raise ValueError(f"bins must be >= 1, got {bins!r}")
-        addr = _address(counts, np.int64, bins)
-        for pos in range(0, count, _PIECE):
-            x = lib.chaospip_bins(x, mu, min(count - pos, _PIECE), bins, addr)
-        return x
+        counts = np.zeros(bins, dtype=np.int64)
+        x = lib.chaospip_bins(x, mu, count, bins, counts.ctypes.data)
+        return counts, x
 
-    return _Kernel("native", advance, bytes_, bins)
+    return _Kernel("native", lib.chaospip_advance, bytes_, bins)
 
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -353,11 +359,12 @@ def _agrees(kernel: _Kernel) -> bool:
     of the flags, which would change every keystream after a few iterates.
     """
     x, mu, count, bins = 0.4, 3.99, 1000, 97
-    outs = [np.empty(count, np.uint8) for _ in range(2)]
-    hists = [np.zeros(bins, np.int64) for _ in range(2)]
-    ends = [(k.advance(x, mu, count), k.bytes(x, mu, 7, count, out), k.bins(x, mu, count, bins, h))
-            for k, out, h in zip((kernel, _PYTHON), outs, hists)]
-    return ends[0] == ends[1] and (outs[0] == outs[1]).all() and (hists[0] == hists[1]).all()
+
+    def probe(k: _Kernel):
+        counts, end = k.bins(x, mu, count, bins)
+        return k.advance(x, mu, count), k.bytes(x, mu, 7, count), counts.tolist(), end
+
+    return probe(kernel) == probe(_PYTHON)
 
 
 @functools.cache
@@ -371,16 +378,6 @@ def _loaded() -> _Kernel:
     except (OSError, AttributeError):  # AttributeError: a symbol is missing
         return _PYTHON
     return kernel if _agrees(kernel) else _PYTHON
-
-
-def _kernel(x: float, mu: float) -> _Kernel:
-    """The kernel for a state.
-
-    The native kernel takes only x in [0, 1] and mu in [0, 4]. The map keeps
-    that interval invariant, so C never casts NaN or inf to an integer,
-    which is undefined behaviour; any other hand-built state takes the oracle.
-    """
-    return _loaded() if 0.0 <= x <= 1.0 and 0.0 <= mu <= 4.0 else _PYTHON
 
 
 def __getattr__(name: str):

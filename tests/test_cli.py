@@ -349,6 +349,20 @@ def test_invalid_key_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "flags,code",
+    [(["keystream-hist", "--n", str(2**63), "--bins", "50"], 2),
+     (["encrypt", "--in", "plain.pgm", "--burn-in", str(2**63)], 3)],
+    ids=["n", "burn-in"],
+)
+def test_counts_past_int64_exit_at_once(tmp_path, monkeypatch, flags, code):
+    # No kernel could finish 2**63 iterates, so both must fail before one runs.
+    monkeypatch.chdir(tmp_path)
+    write_test_pgm(tmp_path / "plain.pgm", seed=69)
+    assert run([*flags, "--mu", "3.934", "--x0", "0.5", "--out", "out"]) == code
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_exits_2(tmp_path):
     assert run(["encrypt", "--in", str(tmp_path / "nope.pgm"),
                 "--out", str(tmp_path / "c"), *KEY_FLAGS]) == 2

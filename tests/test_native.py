@@ -1,10 +1,11 @@
 """The native keystream kernel against the pure-Python oracle, `_orbit`.
 
 The differential tests run only when the native kernel is in use; the
-piece-splitting, domain and fallback tests run under either backend.
+domain, count-bound and fallback tests run under either backend.
 `tests/refcipher.py` stays the final oracle through the other suites.
 """
 
+import math
 import os
 import random
 import shutil
@@ -15,10 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chaospip import keystream, write_pnm
 from chaospip.analysis import keystream_histogram
 from chaospip.cli import run
+from chaospip.errors import RangeError
 from chaospip.keystream import (
     KeyMaterial,
     KeystreamState,
@@ -41,7 +45,7 @@ def both(monkeypatch, fn, *args):
     """`fn(*args)` with the kernel the package picks, then with the oracle."""
     result = fn(*args)
     with monkeypatch.context() as m:
-        m.setattr(keystream, "_kernel", lambda x, mu: keystream._PYTHON)
+        m.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
         return result, fn(*args)
 
 
@@ -97,57 +101,87 @@ class CountingLib:
         self.calls.append(count)
         return x / 2.0
 
-    def chaospip_bytes(self, x, mu, low, count, addr):
+    def chaospip_bytes(self, x, mu, low, count, out):
         self.calls.append((low, count))
         return x / 2.0
 
+    def chaospip_bins(self, x, mu, count, bins, addr):
+        self.calls.append((count, bins))
+        return x / 2.0
 
-def test_huge_skip_goes_to_the_kernel_in_pieces(monkeypatch):
-    # ctypes would wrap 2**64 to 0, leaving x unchanged while n advanced.
+
+@pytest.fixture
+def counting_lib(monkeypatch) -> CountingLib:
     lib = CountingLib()
     monkeypatch.setattr(keystream, "_loaded", lambda: keystream._native_kernel(lib))
-    state = skip(KeystreamState(x=0.4, mu=3.9, n=7), 2**64)
-    assert lib.calls == [2**62] * 4
-    assert state == KeystreamState(x=0.4 / 16, mu=3.9, n=7 + 2**64)
-    lib.calls.clear()
-    assert skip(state, 2**62 + 1).x == 0.4 / 64
-    assert lib.calls == [2**62, 1]
+    return lib
 
 
-def test_kernel_gets_the_counter_as_its_low_byte(monkeypatch):
-    lib = CountingLib()
-    monkeypatch.setattr(keystream, "_loaded", lambda: keystream._native_kernel(lib))
-    take_bytes(KeystreamState(x=0.4, mu=3.9, n=2**64 - 3), 5)
-    assert lib.calls == [((2**64 - 3) & 0xFF, 5)]
+def test_largest_skip_is_one_kernel_call(counting_lib):
+    state = skip(KeystreamState(x=0.4, mu=3.9, n=7), 2**63 - 1)
+    assert counting_lib.calls == [2**63 - 1]
+    assert state == KeystreamState(x=0.2, mu=3.9, n=7 + 2**63 - 1)
 
 
+@pytest.mark.parametrize("count", [2**63, 2**64])
 @pytest.mark.parametrize(
     "call",
     [
-        lambda k: k.bytes(0.4, 3.9, 0, 8, np.empty(7, np.uint8)),
-        lambda k: k.bytes(0.4, 3.9, 0, 8, np.empty(8, np.uint16)),
-        lambda k: k.bytes(0.4, 3.9, 0, 8, np.empty(16, np.uint8)[::2]),
-        lambda k: k.bins(0.4, 3.9, 8, 0, np.zeros(1, np.int64)),
-        lambda k: k.bins(0.4, 3.9, 8, 5, np.zeros(5, np.int32)),
+        lambda n: skip(KeystreamState(x=0.4, mu=3.9), n),
+        lambda n: take_bytes(KeystreamState(x=0.4, mu=3.9), n),
+        lambda n: keystream_histogram(derive_key_from_params("3.9", "0.4"), n, 10),
     ],
-    ids=["short", "uint16", "strided", "zero-bins", "int32-counts"],
+    ids=["skip", "take_bytes", "keystream_histogram"],
 )
-def test_kernel_refuses_buffers_it_could_overrun(call):
+def test_counts_past_int64_never_reach_the_kernel(counting_lib, call, count):
+    # ctypes would wrap 2**64 to 0, leaving x unchanged while n advanced.
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        call(count)
+    assert counting_lib.calls == []
+
+
+def test_kernel_gets_the_counter_as_its_low_byte(counting_lib):
+    take_bytes(KeystreamState(x=0.4, mu=3.9, n=2**64 - 3), 5)
+    assert counting_lib.calls == [((2**64 - 3) & 0xFF, 5)]
+
+
+def test_zero_bins_never_reach_c():
+    # C writes counts[bins - 1].
     lib = CountingLib()
     with pytest.raises(ValueError):
-        call(keystream._native_kernel(lib))
+        keystream._native_kernel(lib).bins(0.4, 3.9, 8, 0)
     assert lib.calls == []
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
-@pytest.mark.parametrize("x,mu", [(1.5, 3.9), (0.5, 4.5), (-0.25, 3.9)])
-def test_out_of_domain_state_takes_the_oracle(monkeypatch, x, mu):
-    state = KeystreamState(x=x, mu=mu, n=3)
-    assert keystream._kernel(x, mu) is keystream._PYTHON
-    got, want = both(monkeypatch, take_bytes, state, 64)
-    assert got == want
-    got, want = both(monkeypatch, skip, state, 64)
-    assert got == want
+@pytest.mark.parametrize(
+    "x,mu",
+    [(1.5, 3.9), (0.5, 4.5), (-0.25, 3.9), (float("nan"), 3.9), (0.5, float("nan")),
+     (float("inf"), 3.9), (0.5, -3.9)],
+)
+def test_out_of_domain_state_is_rejected(x, mu):
+    with pytest.raises(RangeError):
+        KeystreamState(x=x, mu=mu, n=3)
+
+
+def assert_one_step_stays_in_domain(x, mu):
+    for kernel in (keystream._loaded(), keystream._PYTHON):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(keystream, "_loaded", lambda: kernel)
+            assert 0.0 <= skip(KeystreamState(x=x, mu=mu), 1).x <= 1.0
+
+
+@given(x=st.floats(0.0, 1.0), mu=st.floats(0.0, 4.0))
+def test_map_keeps_the_domain_invariant(x, mu):
+    assert_one_step_stays_in_domain(x, mu)
+
+
+def test_map_keeps_the_domain_near_the_peak():
+    # Just below 0.5, 1 - x = 0.5 + k * 2**-54 rounds on a tie for odd k and
+    # may round up, so x * (1 - x) can exceed 0.25 before its own rounding.
+    for mu in (4.0, math.nextafter(4.0, 0.0)):
+        for k in range(5000):
+            assert_one_step_stays_in_domain(0.5 - k * 2**-54, mu)
+            assert_one_step_stays_in_domain(0.5 + k * 2**-53, mu)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
