@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 key error.
+Exit codes: 0 success, 1 usage error, 2 data/format error (including an
+input too large to allocate), 3 key error.
 Diagnostics go to stderr; data goes to files or stdout only, and key
 material is never written into any output file.
 """
@@ -206,6 +207,9 @@ def run(argv=None) -> int:
         return EXIT_KEY
     except (OSError, ValueError) as exc:  # every package data error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # an input too large for this machine, such as huge --bins
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaospip import (
     DimensionMismatch,
@@ -20,6 +22,7 @@ from chaospip import (
     take_bytes,
     transform_plane,
 )
+from chaospip import cipher
 from chaospip.cipher import PER_FRAME_STRIDE
 
 from refcipher import reference_transform
@@ -227,6 +230,79 @@ def test_stream_round_trips_in_both_modes(make_frame):
     frames = [make_frame(rng, 9, 5, 3) for _ in range(4)]
     for mode in ReseedMode:
         assert process_stream(process_stream(frames, KEY, mode), KEY, mode) == frames
+
+
+def assert_frames_match_reference(frames, key, mode):
+    # The oracle is refcipher alone: frame i starts 17*i (per-frame) or
+    # i*frame_bytes (continuous) iterates past the burn-in.
+    out = process_stream(frames, key, mode)
+    assert len(out) == len(frames)
+    for i, (frame, got) in enumerate(zip(frames, out)):
+        offset = PER_FRAME_STRIDE * i if mode is ReseedMode.PER_FRAME else len(frame.data) * i
+        assert got.shape == frame.shape
+        assert got.data == reference_transform(frame.data, key.mu, key.x0, key.burn_in + offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 12), height=st.integers(1, 12), channels=st.sampled_from([1, 3]),
+       count=st.integers(1, 40), mode=st.sampled_from(list(ReseedMode)),
+       burn_in=st.integers(0, 40), seed_=st.integers(0, 2**32 - 1))
+@example(width=17, height=1, channels=1, count=40, mode=ReseedMode.PER_FRAME, burn_in=3, seed_=0)
+@example(width=3, height=3, channels=1, count=40, mode=ReseedMode.PER_FRAME, burn_in=0, seed_=1)
+@example(width=7, height=5, channels=1, count=23, mode=ReseedMode.CONTINUOUS, burn_in=9, seed_=2)
+@example(width=7, height=5, channels=3, count=31, mode=ReseedMode.PER_FRAME, burn_in=17, seed_=3)
+@example(width=1, height=1, channels=1, count=40, mode=ReseedMode.PER_FRAME, burn_in=1, seed_=4)
+def test_stream_matches_straight_line_reference(width, height, channels, count, mode, burn_in,
+                                                seed_):
+    rng = np.random.default_rng(seed_)
+    frames = [Frame(width, height, channels,
+                    rng.integers(0, 256, size=width * height * channels, dtype=np.uint8).tobytes())
+              for _ in range(count)]
+    assert_frames_match_reference(frames, KeyMaterial(mu=3.97, x0=0.371, burn_in=burn_in), mode)
+
+
+@pytest.mark.parametrize("mode", list(ReseedMode))
+@pytest.mark.parametrize("side", [41, 160])
+def test_stream_matches_reference_across_batches(make_frame, mode, side):
+    # 41x41 RGB frames (5043 bytes, a 3-byte tail) fill batches of several
+    # frames and the last one starts a new batch; 160x160 RGB frames are
+    # larger than a batch, so each is a batch of its own.
+    rng = np.random.default_rng(15)
+    count = max(2, cipher._BATCH_BYTES // (side * side * 3) + 1)
+    frames = [make_frame(rng, side, side, 3) for _ in range(count)]
+    assert_frames_match_reference(frames, KEY, mode)
+
+
+@pytest.mark.parametrize("mode", list(ReseedMode))
+def test_every_stream_byte_goes_through_one_transform_plane_call_per_batch(
+        monkeypatch, make_frame, mode):
+    # perfbench --trace divides by transform_plane's byte count, and only
+    # public functions are traced, so no byte may bypass it.
+    seen = []
+
+    def counting(data, *args, **kwargs):
+        seen.append(len(data))
+        return transform_plane(data, *args, **kwargs)
+
+    monkeypatch.setattr(cipher, "transform_plane", counting)
+    rng = np.random.default_rng(16)
+    frames = [make_frame(rng, 8, 8, 1) for _ in range(2000)]
+    process_stream(frames, KEY, mode)
+    assert sum(seen) == 2000 * 64
+    assert len(seen) == math.ceil(2000 / (cipher._BATCH_BYTES // 64))
+
+
+def test_batched_plane_state_lands_where_the_next_frame_starts():
+    data = bytes(range(200)) * 3  # 20 frames of 30 bytes
+    for stride in (1, 17, 30, 45):
+        _, state = transform_plane(data, seed(KEY), 30, stride)
+        assert state == skip(seed(KEY), 20 * stride)
+
+
+@pytest.mark.parametrize("frame_bytes,stride", [(0, 1), (7, 7), (10, 0), (10, -3)])
+def test_plane_rejects_frames_that_do_not_tile(frame_bytes, stride):
+    with pytest.raises(ValueError):
+        transform_plane(bytes(20), seed(KEY), frame_bytes, stride)
 
 
 def test_mismatched_frames_rejected(make_frame):

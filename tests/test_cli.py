@@ -363,6 +363,17 @@ def test_counts_past_int64_exit_at_once(tmp_path, monkeypatch, flags, code):
     assert not (tmp_path / "out").exists()
 
 
+def test_unallocatable_bins_exit_2_with_one_line(tmp_path, capsys):
+    # 2**47 int64 counts are 1 PiB, beyond any address space, so the
+    # allocation fails at once whatever the overcommit setting.
+    out = tmp_path / "hist.csv"
+    assert run(["keystream-hist", "--mu", "3.99", "--x0", "0.4", "--n", str(2**47),
+                "--bins", str(2**47), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_input_exits_2(tmp_path):
     assert run(["encrypt", "--in", str(tmp_path / "nope.pgm"),
                 "--out", str(tmp_path / "c"), *KEY_FLAGS]) == 2

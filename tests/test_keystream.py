@@ -17,6 +17,7 @@ from chaospip import (
     skip,
     take_bytes,
 )
+from chaospip import keystream
 from chaospip.analysis import keystream_histogram
 
 
@@ -206,6 +207,21 @@ def test_skip_matches_float_loop_across_chunks(count):
     for _ in range(count):
         x = mu * (x * (1.0 - x))
     assert state == KeystreamState(x=x, mu=mu, n=5 + count)
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "python"])
+def test_window_of_a_longer_draw_equals_a_draw_after_skip(monkeypatch, kernel):
+    # Frame batches rely on this: key byte n is whitened with the absolute
+    # count n, so a window depends only on where it starts.
+    if kernel == "python":
+        monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
+    state = seed(KeyMaterial(mu=3.934, x0=0.5250, burn_in=250))
+    for i in (0, 1, 2, 15, 16, 300):
+        for m in (1, 5, 8, 16, 17, 18, 64, 300):
+            window, after = take_bytes(skip(state, 17 * i), m)
+            whole, end = take_bytes(state, 17 * i + m)
+            assert window == whole[17 * i:]
+            assert after == end
 
 
 def test_skip_rejects_negative():
