@@ -63,6 +63,8 @@ def corr2d(a, b) -> float:
     b = _as_array(b).astype(np.float64)
     if a.shape != b.shape:
         raise DimensionMismatch(f"plane shapes differ: {a.shape} vs {b.shape}")
+    if not a.size:
+        raise EmptyInput("correlation of empty planes is undefined")
     a -= a.mean()  # astype made fresh copies, so centring in place is safe
     b -= b.mean()
     den = float(np.sqrt((a * a).sum() * (b * b).sum()))
@@ -92,9 +94,8 @@ def keystream_histogram(key: KeyMaterial, iterations: int, bins: int) -> np.ndar
         raise ValueError(f"bins must be >= 1, got {bins!r}")
     if iterations < bins:
         raise ValueError(f"iterations ({iterations!r}) must be >= bins ({bins!r})")
-    keystream._check_count(iterations)
-    counts, _x = keystream._loaded().bins(keystream.seed(key).x, key.mu, iterations, bins)
-    return counts
+    keystream._check_count(iterations)  # before the burn-in runs
+    return keystream._bins(keystream.seed(key), iterations, bins)[0]
 
 
 @dataclass(frozen=True)

@@ -164,11 +164,12 @@ def _check_same_shape(frames: Sequence[Frame]) -> None:
 def process_stream(
     frames: Iterable[Frame], key: KeyMaterial, mode: ReseedMode = ReseedMode.CONTINUOUS
 ) -> list[Frame]:
-    """Encrypt/decrypt a frame sequence under the chosen reseed mode.
+    """Encrypt/decrypt a frame sequence under reseed `mode`, a `ReseedMode` or its value.
 
     Frames go through `transform_plane` in batches of at most _BATCH_BYTES
     (or one frame, if a frame is larger), one call per batch.
     """
+    mode = ReseedMode(mode)
     frames = list(frames)
     if not frames:
         return []

@@ -143,11 +143,11 @@ def write_container(
     frames: Iterable[Frame], mode: ContainerMode, reseed: ReseedMode
 ) -> bytes:
     """Serialize encrypted frames with the bit-exact 20-byte header."""
+    mode, reseed = ContainerMode(mode), ReseedMode(reseed)
     frames = list(frames)
     if not frames:
         raise ValueError("a container needs at least one frame")
     _check_same_shape(frames)
-    mode = ContainerMode(mode)
     first = frames[0]
     if first.channels != mode.channels:
         raise ValueError(f"{mode.name} expects {mode.channels}-channel frames, got {first.channels}")

@@ -14,24 +14,24 @@ The cycling counter balances every bit position without touching
 determinism, seed sensitivity, or the cipher's involution.
 
 Every reader of map states (`skip`, `take_bytes`,
-`analysis.keystream_histogram`) goes through one kernel of three
-operations: advance the state, make key bytes, or count states into
-histogram bins. There are two kernels. The pure-Python one reads states
-from `_orbit`, the single Python definition of the recurrence, and
-extracts bytes or bins with numpy, which is exact: numpy's binary64
-multiply and truncation of positive values match Python's. It is the
-oracle. The native one is the C loop in `_kernel.c`, compiled on first use
-with `cc -O2 -ffp-contract=off -shared -fPIC` into a per-user cache
-directory and loaded through ctypes. It must match the oracle bit for bit,
-so the compiler may not change a single rounding: `-ffp-contract=off`
-forbids fused multiply-adds, which round once where Python rounds twice,
-and `-ffast-math`, `-march=native` and any other flag that lets the
-compiler reassociate or change precision are never used.
-A short probe against the oracle guards each load. If the library cannot
-be built, loaded or agree with the probe, the oracle runs instead;
-`BACKEND` names the kernel in use ("native" or "python").
+`analysis.keystream_histogram`) goes through one kernel of two operations:
+make key bytes, or count states into histogram bins. `skip` counts into a
+single bin and keeps only the last state. There are two kernels. The
+pure-Python one reads states from `_orbit`, the single Python definition
+of the recurrence, and extracts bytes or bins with numpy, which is exact:
+numpy's binary64 multiply and truncation of positive values match
+Python's. It is the oracle. The native one, `_kernel.c`, is compiled on
+first use with `cc -O2 -ffp-contract=off -shared -fPIC` into a per-user
+cache directory and loaded through ctypes. It must match the oracle bit
+for bit, so the compiler may not change a single rounding:
+`-ffp-contract=off` forbids fused multiply-adds, which round once where
+Python rounds twice, and `-ffast-math`, `-march=native` and any other flag
+that lets the compiler reassociate or change precision are never used. A
+short probe against the oracle guards each load. If the library cannot be
+built, loaded or agree with the probe, the oracle runs instead; `BACKEND`
+names the kernel in use ("native" or "python").
 
-The C loop needs x in [0, 1], mu in [0, 4] and counts below 2**63, and
+The C loops need x in [0, 1], mu in [0, 4] and counts below 2**63, and
 these hold by construction: `KeystreamState` refuses other states, the
 binary64 map keeps [0, 1] invariant for such mu, and every reader of map
 states refuses larger counts, which no kernel could finish anyway.
@@ -199,9 +199,7 @@ def _check_count(count: int) -> None:
 
 def skip(state: KeystreamState, count: int) -> KeystreamState:
     """State after `count` extra iterates (burn-in, frame offsets)."""
-    _check_count(count)
-    x = _loaded().advance(state.x, state.mu, count)
-    return KeystreamState(x=x, mu=state.mu, n=state.n + count)
+    return _bins(state, count, 1)[1]
 
 
 def take_bytes(state: KeystreamState, count: int) -> tuple[bytes, KeystreamState]:
@@ -211,13 +209,14 @@ def take_bytes(state: KeystreamState, count: int) -> tuple[bytes, KeystreamState
     return keys, KeystreamState(x=x, mu=state.mu, n=state.n + count)
 
 
+def _bins(state: KeystreamState, count: int, bins: int) -> tuple[np.ndarray, KeystreamState]:
+    """Counts of the next `count` states in `bins` bins of [0, 1], and the state after."""
+    _check_count(count)
+    counts, x = _loaded().bins(state.x, state.mu, count, bins)
+    return counts, KeystreamState(x=x, mu=state.mu, n=state.n + count)
+
+
 # ---------------------------------------------------------------- kernels
-
-
-def _py_advance(x: float, mu: float, count: int) -> float:
-    for states in _orbit(x, mu, count):
-        x = states[-1]
-    return x
 
 
 def _py_bytes(x: float, mu: float, low: int, count: int) -> tuple[bytes, float]:
@@ -242,20 +241,19 @@ def _py_bins(x: float, mu: float, count: int, bins: int) -> tuple[np.ndarray, fl
 
 
 class _Kernel(NamedTuple):
-    """The three operations on map states; each returns the last state.
+    """The two operations on map states; each returns the last state.
 
-    advance(x, mu, count); bytes(x, mu, low, count) -> (keys, x), key byte i
-    whitened with (low + i) & 0xFF; bins(x, mu, count, bins) -> (int64 counts,
-    x). Callers pass a `KeystreamState`'s x and mu and a count below 2**63.
+    bytes(x, mu, low, count) -> (keys, x), key byte i whitened with
+    (low + i) & 0xFF; bins(x, mu, count, bins) -> (int64 counts, x).
+    Callers pass a `KeystreamState`'s x and mu and a count below 2**63.
     """
 
     name: str
-    advance: Callable[[float, float, int], float]
     bytes: Callable[[float, float, int, int], tuple[bytes, float]]
     bins: Callable[[float, float, int, int], tuple[np.ndarray, float]]
 
 
-_PYTHON = _Kernel("python", _py_advance, _py_bytes, _py_bins)
+_PYTHON = _Kernel("python", _py_bytes, _py_bins)
 
 
 def _native_kernel(lib) -> _Kernel:
@@ -276,7 +274,7 @@ def _native_kernel(lib) -> _Kernel:
         x = lib.chaospip_bins(x, mu, count, bins, counts.ctypes.data)
         return counts, x
 
-    return _Kernel("native", lib.chaospip_advance, bytes_, bins)
+    return _Kernel("native", bytes_, bins)
 
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -344,8 +342,7 @@ def _load_library():
         _build(source, path)
     lib = ctypes.CDLL(str(path))
     f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-    for name, argtypes in [("chaospip_advance", [f64, f64, i64]),
-                           ("chaospip_bytes", [f64, f64, i64, i64, ptr]),
+    for name, argtypes in [("chaospip_bytes", [f64, f64, i64, i64, ptr]),
                            ("chaospip_bins", [f64, f64, i64, i64, ptr])]:
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, f64
@@ -362,7 +359,7 @@ def _agrees(kernel: _Kernel) -> bool:
 
     def probe(k: _Kernel):
         counts, end = k.bins(x, mu, count, bins)
-        return k.advance(x, mu, count), k.bytes(x, mu, 7, count), counts.tolist(), end
+        return k.bytes(x, mu, 7, count), counts.tolist(), end
 
     return probe(kernel) == probe(_PYTHON)
 

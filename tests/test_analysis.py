@@ -143,6 +143,8 @@ def test_corr_rejects_shape_mismatch_and_constants():
         corr2d(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(DegenerateInput):
         corr2d(np.full((4, 4), 7), np.arange(16).reshape(4, 4))
+    with pytest.raises(EmptyInput):
+        corr2d(b"", b"")
 
 
 def test_plain_versus_cipher_correlation_is_negligible(table1_frames):

@@ -184,6 +184,19 @@ def test_empty_stream():
     assert process_stream([], KEY, ReseedMode.CONTINUOUS) == []
 
 
+@pytest.mark.parametrize("mode", list(ReseedMode))
+def test_stream_reads_a_reseed_value_as_its_mode(make_frame, mode):
+    rng = np.random.default_rng(12)
+    frames = [make_frame(rng, 6, 4, 1) for _ in range(3)]
+    assert process_stream(frames, KEY, mode.value) == process_stream(frames, KEY, mode)
+
+
+@pytest.mark.parametrize("frames", [[], [Frame(2, 2, 1, bytes(4))]], ids=["empty", "one"])
+def test_stream_rejects_an_unknown_reseed_mode(frames):
+    with pytest.raises(ValueError):
+        process_stream(frames, KEY, "bogus")
+
+
 def test_continuous_single_frame_equals_encrypt_image(make_frame):
     frame = make_frame(np.random.default_rng(9), 10, 6, 1)
     assert process_stream([frame], KEY, ReseedMode.CONTINUOUS) == [encrypt_image(frame, KEY)]

@@ -118,6 +118,20 @@ def test_container_round_trip_rgb_image():
     assert reseed is ReseedMode.CONTINUOUS
 
 
+@pytest.mark.parametrize("reseed", list(ReseedMode))
+def test_write_container_reads_a_reseed_value_as_its_mode(reseed):
+    frames = [Frame(2, 2, 1, bytes(4))] * 2
+    blob = write_container(frames, ContainerMode.GRAY_VIDEO, reseed.value)
+    assert blob == write_container(frames, ContainerMode.GRAY_VIDEO, reseed)
+    assert read_container(blob)[2] is reseed
+
+
+@pytest.mark.parametrize("frames", [[], [Frame(2, 2, 1, bytes(4))]], ids=["empty", "one"])
+def test_write_container_rejects_an_unknown_reseed_mode(frames):
+    with pytest.raises(ValueError, match="ReseedMode"):
+        write_container(frames, ContainerMode.GRAY_VIDEO, "bogus")
+
+
 def _valid_container() -> bytes:
     return write_container(
         [Frame(2, 2, 1, bytes(4))], ContainerMode.GRAY_IMAGE, ReseedMode.CONTINUOUS

@@ -97,10 +97,6 @@ class CountingLib:
     def __init__(self):
         self.calls = []
 
-    def chaospip_advance(self, x, mu, count):
-        self.calls.append(count)
-        return x / 2.0
-
     def chaospip_bytes(self, x, mu, low, count, out):
         self.calls.append((low, count))
         return x / 2.0
@@ -119,7 +115,7 @@ def counting_lib(monkeypatch) -> CountingLib:
 
 def test_largest_skip_is_one_kernel_call(counting_lib):
     state = skip(KeystreamState(x=0.4, mu=3.9, n=7), 2**63 - 1)
-    assert counting_lib.calls == [2**63 - 1]
+    assert counting_lib.calls == [(2**63 - 1, 1)]
     assert state == KeystreamState(x=0.2, mu=3.9, n=7 + 2**63 - 1)
 
 
@@ -175,13 +171,21 @@ def test_map_keeps_the_domain_invariant(x, mu):
     assert_one_step_stays_in_domain(x, mu)
 
 
-def test_map_keeps_the_domain_near_the_peak():
+def test_map_keeps_the_domain_near_the_peak(monkeypatch):
     # Just below 0.5, 1 - x = 0.5 + k * 2**-54 rounds on a tie for odd k and
     # may round up, so x * (1 - x) can exceed 0.25 before its own rounding.
     for mu in (4.0, math.nextafter(4.0, 0.0)):
         for k in range(5000):
             assert_one_step_stays_in_domain(0.5 - k * 2**-54, mu)
             assert_one_step_stays_in_domain(0.5 + k * 2**-53, mu)
+    # 0.5 -> 1.0 -> 0.0: x * 1 = 1 is bin index 1, which the clamp must put
+    # in bin 0 of the one-bin count that `skip` makes.
+    start = KeystreamState(x=0.5, mu=4.0, n=5)
+    for count, x in [(1, 1.0), (2, 0.0), (3, 0.0)]:
+        (counts, state), (counts_oracle, state_oracle) = both(monkeypatch, keystream._bins, start,
+                                                              count, 1)
+        assert counts.tolist() == counts_oracle.tolist() == [count]
+        assert state == state_oracle == KeystreamState(x=x, mu=4.0, n=5 + count)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
