@@ -194,10 +194,14 @@ def _cmd_keystream_hist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Built once per process: parse_args leaves it unchanged, and argparse looks
+# up sys.stdout/sys.stderr only when it prints.
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -1,8 +1,10 @@
 """Image and container serialization.
 
-PNM side: binary PGM (P5) and PPM (P6) with maxval 255, standard
-whitespace/comment handling; PPM's interleaved RGB is converted to the
-planar layout used everywhere else in the package.
+PNM side: binary PGM (P5) and PPM (P6) with maxval 255. The header is
+the magic, then width, height and maxval in ASCII decimal, each after
+one or more separators (a whitespace byte or a '#' comment through
+'\n'), then exactly one whitespace byte before the raster. PPM's
+interleaved RGB is converted to the planar layout used everywhere else.
 
 Container side: the encrypted-payload file format. Layout, big-endian:
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Iterable
 
+import re
 import struct
 
 import numpy as np
@@ -40,7 +43,11 @@ VERSION = 1
 _HEADER = struct.Struct(">4sBBBBIII")
 HEADER_SIZE = _HEADER.size
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# The PNM header of the module docstring. Each separator is one whitespace
+# byte or one comment, never a nested repeat, so a failed match takes
+# linear time.
+_PNM_HEADER = re.compile(rb"P[56]" + rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n)+(\d+)" * 3
+                         + rb"[ \t\n\r\x0b\x0c]")
 
 
 class ContainerMode(IntEnum):
@@ -69,55 +76,25 @@ def container_mode_for(channels: int, video: bool) -> ContainerMode:
     raise ValueError(f"channels must be 1 or 3, got {channels!r}")
 
 
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    """Next header token, skipping whitespace and '#' comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#'
-            nl = buf.find(b"\n", pos)
-            if nl < 0:
-                raise FormatError("unterminated comment in header")
-            pos = nl + 1
-        else:
-            break
-    start = pos
-    while pos < n and buf[pos] not in _WHITESPACE and buf[pos] != 0x23:
-        pos += 1
-    if start == pos:
-        raise FormatError("truncated header")
-    return buf[start:pos], pos
-
-
-def _int_token(buf: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, pos = _next_token(buf, pos)
-    if not token.isdigit():
-        raise FormatError(f"malformed {what}: {token!r}")
-    try:
-        return int(token), pos
-    except ValueError:  # more digits than int() accepts
-        raise FormatError(f"{what} has {len(token)} digits") from None
-
-
 def read_pnm(data: bytes) -> Frame:
     """Parse a binary PGM/PPM into a Frame (PPM becomes planar)."""
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"not a binary PGM/PPM file (magic {magic!r})")
     channels = 1 if magic == b"P5" else 3
-    width, pos = _int_token(data, 2, "width")
-    height, pos = _int_token(data, pos, "height")
-    maxval, pos = _int_token(data, pos, "maxval")
+    header = _PNM_HEADER.match(data)
+    if header is None:
+        raise FormatError("malformed PNM header: expected the magic, width, height and maxval, "
+                          "each after whitespace or '#' comments, then one whitespace byte")
+    try:
+        width, height, maxval = map(int, header.groups())
+    except ValueError:  # more digits than int() accepts
+        raise FormatError("header number has too many digits") from None
     if width < 1 or height < 1:
         raise FormatError(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise FormatError(f"only maxval 255 is supported, got {maxval}")
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise FormatError("missing whitespace after maxval")
-    pos += 1
-    payload = data[pos:]
+    payload = data[header.end():]
     expected = width * height * channels
     if len(payload) < expected:
         raise FormatError(f"truncated payload: {len(payload)} bytes, expected {expected}")

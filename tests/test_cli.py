@@ -15,7 +15,7 @@ from chaospip import (
     read_pnm,
     write_pnm,
 )
-from chaospip import analysis
+from chaospip import analysis, cli
 from chaospip.cli import run
 
 from synthimg import synthetic_gray, synthetic_rgb
@@ -327,6 +327,15 @@ def test_keystream_hist_rejects_non_positive_sizes(tmp_path, n, bins):
     assert not out.exists()
 
 
+def test_run_does_not_rebuild_the_parser(tmp_path, monkeypatch):
+    def no_rebuild():
+        raise AssertionError("run built a new parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    assert run(["keystream-hist", *KEY_FLAGS, "--n", "10", "--bins", "2",
+                "--out", str(tmp_path / "hist.csv")]) == 0
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -334,6 +343,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(["no-such-command"]) == 1
     assert run(["encrypt", "--out", "x"]) == 1  # missing --in/--mu/--x0
     assert run([]) == 1
+    assert capsys.readouterr().err.count("usage: chaospip") == 3
 
 
 def test_help_exits_0(capsys):

@@ -37,6 +37,7 @@ def test_header_comments_and_odd_whitespace():
     raw = b"P5 # a comment\n # another\n 3\t1 #x\n255 " + bytes([9, 8, 7])
     frame = read_pnm(raw)
     assert frame == Frame(3, 1, 1, bytes([9, 8, 7]))
+    assert read_pnm(b"P5#x\n3\x0b1\r\x0c255\t" + bytes([9, 8, 7])) == frame
 
 
 @pytest.mark.parametrize(
@@ -54,6 +55,10 @@ def test_header_comments_and_odd_whitespace():
         b"P5\n2 2",                             # truncated header
         b"P5\n2 2\n255# comment with no newline",
         b"P5 " + b"9" * 5000 + b" 1 255\n",   # more digits than int() accepts
+        b"P52 2\n255\n" + bytes(4),            # no separator after the magic
+        b"P5\n+2 2\n255\n" + bytes(4),         # signed dimension
+        b"P5\n2 2\n255#c\n" + bytes(4),        # comment where the one whitespace byte goes
+        b"P5" + b" " * 64 + b"x",               # exponential on a nested-repeat pattern
     ],
 )
 def test_malformed_pnm_rejected(blob):

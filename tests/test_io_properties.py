@@ -1,4 +1,5 @@
-"""Property tests: the parsers return frames or raise FormatError, nothing else."""
+"""Property tests: the parsers return frames or raise FormatError, nothing else,
+and the PNM reader accepts every header its grammar allows."""
 
 import pytest
 
@@ -43,6 +44,12 @@ _pnm_inputs = st.one_of(
     st.builds(bytes.__add__, st.sampled_from([b"P5", b"P6"]), st.binary(max_size=128)),
     _mutants(_frames.map(write_pnm)),
 )
+_WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]
+_separator_runs = st.lists(
+    st.sampled_from(_WHITESPACE)
+    | st.binary(max_size=8).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n"),
+    min_size=1, max_size=4,
+).map(b"".join)
 _container_headers = st.builds(
     lambda magic, *fields: _HEADER.pack(magic, *fields),
     st.sampled_from([b"CPIP", b"NOPE"]),
@@ -73,6 +80,16 @@ def test_read_pnm_returns_frame_or_format_error(blob):
     frame = _parsed_or_none(read_pnm, blob)
     if frame is not None:
         assert read_pnm(write_pnm(frame)) == frame
+
+
+@SETTINGS
+@given(_frames, st.lists(_separator_runs, min_size=3, max_size=3), st.sampled_from(_WHITESPACE))
+def test_read_pnm_accepts_any_separators(frame, separators, last):
+    canonical = write_pnm(frame)
+    tokens = (str(n).encode() for n in (frame.width, frame.height, 255))
+    header = canonical[:2] + b"".join(sep + token for sep, token in zip(separators, tokens)) + last
+    raster = canonical[len(canonical) - len(frame.data):]
+    assert read_pnm(header + raster) == read_pnm(canonical) == frame
 
 
 @SETTINGS
