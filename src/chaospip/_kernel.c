@@ -5,7 +5,8 @@
  * kernel in keystream.py bit for bit. That holds only if each iterate is
  * evaluated as t = 1 - x, u = x * t, x = mu * u, each rounded once in
  * binary64: compile with -ffp-contract=off (no fused multiply-add) and
- * never with -ffast-math or reassociation.
+ * never with -ffast-math or reassociation. A third loop, the cipher's
+ * transpose-and-XOR, is integer-only; keystream._py_mask is its oracle.
  *
  * Callers guarantee x in [0, 1], mu in [0, 4] and 0 <= count < 2**63:
  * keystream.KeystreamState holds no other state, and the Python callers
@@ -14,6 +15,7 @@
  */
 
 #include <stdint.h>
+#include <string.h>
 
 #define STEP(x, mu) do { double t = 1.0 - (x); double u = (x) * t; (x) = (mu) * u; } while (0)
 
@@ -38,4 +40,50 @@ double chaospip_bins(double x, double mu, int64_t count, int64_t bins, int64_t *
         counts[b < bins - 1 ? b : bins - 1] += 1;
     }
     return x;
+}
+
+/* Converts between native and big-endian order, both ways. */
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#define BE64(v) __builtin_bswap64(v)
+#elif defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#define BE64(v) (v)
+#else
+#error "unknown byte order"
+#endif
+
+static uint64_t load64(const uint8_t *p)
+{
+    uint64_t v;
+    memcpy(&v, p, 8);
+    return v;
+}
+
+/* Frame i of n (frame_bytes bytes at data + frame_bytes * i) XOR-ed with the
+ * key window at key + stride * i: each full 8-byte block from the frame's
+ * start with the window's block bit-transposed (bitperm._transpose8, the
+ * block read big-endian), a final partial block with the window as is.
+ * The caller sizes key to stride * (n - 1) + frame_bytes and out to
+ * n * frame_bytes. */
+void chaospip_mask(const uint8_t *key, const uint8_t *data, int64_t n, int64_t frame_bytes,
+                   int64_t stride, uint8_t *out)
+{
+    int64_t full = frame_bytes - frame_bytes % 8;
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t *k = key + stride * i, *p = data + frame_bytes * i;
+        uint8_t *c = out + frame_bytes * i;
+        int64_t j = 0;
+        for (; j < full; j += 8) {
+            uint64_t x = BE64(load64(k + j)), t;
+            t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+            x ^= t ^ (t << 7);
+            t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+            x ^= t ^ (t << 14);
+            t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+            x ^= t ^ (t << 28);
+            x = load64(p + j) ^ BE64(x);
+            memcpy(c + j, &x, 8);
+        }
+        for (; j < frame_bytes; j++)
+            c[j] = p[j] ^ k[j];
+    }
 }

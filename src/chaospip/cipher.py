@@ -26,9 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-from numpy.lib.stride_tricks import as_strided
-
 from . import bitperm, keystream
 from .errors import DimensionMismatch
 from .keystream import KeyMaterial, KeystreamState
@@ -126,20 +123,7 @@ def transform_plane(
         after = keystream.skip(state, end)
     elif end > span:
         after = keystream.skip(after, end - span)
-    # Row i is key[stride * i : stride * i + frame_bytes]; the last row ends at
-    # len(key). This is sliding_window_view(...)[::stride] without its checks,
-    # which cost about 15 us a call (4% of a 320x240 frame on a 2-core Xeon).
-    windows = as_strided(np.frombuffer(key, dtype=np.uint8), (n, frame_bytes), (stride, 1),
-                         writeable=False)
-    full = frame_bytes - frame_bytes % bitperm.BLOCK_SIZE
-    # These are the allocations, in order, of the single-frame code before
-    # batching. Writing into a preallocated mask instead, or skipping the
-    # concatenate for frames without a tail, let glibc trim and regrow its
-    # heap on every call of a loop of CLI commands: a 1080p encrypt then
-    # page-faulted 26 MB per call and ran 25% slower (2-core Xeon).
-    mask = np.concatenate([bitperm._transpose8(np.ascontiguousarray(windows[:, :full])),
-                           windows[:, full:]], axis=1)
-    return (np.frombuffer(data, dtype=np.uint8).reshape(n, frame_bytes) ^ mask).tobytes(), after
+    return keystream._mask(key, data, frame_bytes, stride), after
 
 
 def encrypt_image(frame: Frame, key: KeyMaterial) -> Frame:

@@ -13,28 +13,33 @@ into an image leaves measurable plaintext correlation in the ciphertext.
 The cycling counter balances every bit position without touching
 determinism, seed sensitivity, or the cipher's involution.
 
-Every reader of map states (`skip`, `take_bytes`,
-`analysis.keystream_histogram`) goes through one kernel of two operations:
-make key bytes, or count states into histogram bins. `skip` counts into a
-single bin and keeps only the last state. There are two kernels. The
+The package's loops run in one kernel of three operations. Every reader
+of map states (`skip`, `take_bytes`, `analysis.keystream_histogram`) uses
+the first two: make key bytes, or count states into histogram bins. `skip`
+counts into a single bin and keeps only the last state. The third, `_mask`,
+is integer-only: it XORs frames with bit-transposed windows of a drawn
+keystream, the cipher's block transform. There are two kernels. The
 pure-Python one reads states from `_orbit`, the single Python definition
 of the recurrence, and extracts bytes or bins with numpy, which is exact:
 numpy's binary64 multiply and truncation of positive values match
-Python's. It is the oracle. The native one, `_kernel.c`, is compiled on
-first use with `cc -O2 -ffp-contract=off -shared -fPIC` into a per-user
-cache directory and loaded through ctypes. It must match the oracle bit
-for bit, so the compiler may not change a single rounding:
-`-ffp-contract=off` forbids fused multiply-adds, which round once where
-Python rounds twice, and `-ffast-math`, `-march=native` and any other flag
-that lets the compiler reassociate or change precision are never used. A
-short probe against the oracle guards each load. If the library cannot be
+Python's. It masks with `bitperm._transpose8` over strided windows. It
+is the oracle. The native one, `_kernel.c`, is compiled on first use with
+`cc -O2 -ffp-contract=off -shared -fPIC` into a per-user cache directory
+and loaded through ctypes. It must match the oracle bit for bit, so the
+compiler may not change a single rounding: `-ffp-contract=off` forbids
+fused multiply-adds, which round once where Python rounds twice, and
+`-ffast-math`, `-march=native` and any other flag that lets the compiler
+reassociate or change precision are never used. A short probe against the
+oracle, masks included, guards each load. If the library cannot be
 built, loaded or agree with the probe, the oracle runs instead; `BACKEND`
 names the kernel in use ("native" or "python").
 
 The C loops need x in [0, 1], mu in [0, 4] and counts below 2**63, and
 these hold by construction: `KeystreamState` refuses other states, the
 binary64 map keeps [0, 1] invariant for such mu, and every reader of map
-states refuses larger counts, which no kernel could finish anyway.
+states refuses larger counts, which no kernel could finish anyway. The
+mask loop indexes its buffers unchecked; `_mask` refuses any geometry they
+do not fit.
 """
 
 from __future__ import annotations
@@ -51,7 +56,9 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from . import bitperm
 from .errors import FixedPointError, ParseError, RangeError
 
 # Chaotic band of the logistic map. Below ~3.57 (the period-doubling
@@ -216,6 +223,25 @@ def _bins(state: KeystreamState, count: int, bins: int) -> tuple[np.ndarray, Key
     return counts, KeystreamState(x=x, mu=state.mu, n=state.n + count)
 
 
+def _mask(key, data, frame_bytes: int, stride: int) -> bytes:
+    """`data` as n frames of `frame_bytes` bytes, frame i XOR-ed with the
+    bit-transposed window key[stride * i : stride * i + frame_bytes].
+
+    Full 8-byte blocks align to the frame's start; a partial tail is XOR-ed
+    untransposed. `key` and `data` are bytes-like, and the geometry must
+    hold exactly: n >= 1, len(data) == n * frame_bytes and
+    len(key) == stride * (n - 1) + frame_bytes, else C would read or write
+    out of bounds.
+    """
+    key, data = np.frombuffer(key, dtype=np.uint8), np.frombuffer(data, dtype=np.uint8)
+    n = len(data) // frame_bytes if frame_bytes >= 1 else 0
+    if n < 1 or stride < 1 or len(data) != n * frame_bytes or \
+            len(key) != stride * (n - 1) + frame_bytes:
+        raise ValueError(f"cannot mask {len(data)} bytes as frames of {frame_bytes} bytes with "
+                         f"{len(key)} key bytes {stride} apart")
+    return _loaded().mask(key, data, frame_bytes, stride)
+
+
 # ---------------------------------------------------------------- kernels
 
 
@@ -240,20 +266,40 @@ def _py_bins(x: float, mu: float, count: int, bins: int) -> tuple[np.ndarray, fl
     return counts, x
 
 
+def _py_mask(key: np.ndarray, data: np.ndarray, frame_bytes: int, stride: int) -> bytes:
+    n = len(data) // frame_bytes
+    # Row i is key[stride * i : stride * i + frame_bytes]; the last row ends at
+    # len(key). This is sliding_window_view(...)[::stride] without its checks,
+    # which cost about 15 us a call (4% of a 320x240 frame on a 2-core Xeon).
+    windows = as_strided(key, (n, frame_bytes), (stride, 1), writeable=False)
+    full = frame_bytes - frame_bytes % bitperm.BLOCK_SIZE
+    # These are the allocations, in order, of the single-frame code before
+    # batching. Writing into a preallocated mask instead, or skipping the
+    # concatenate for frames without a tail, let glibc trim and regrow its
+    # heap on every call of a loop of CLI commands: a 1080p encrypt then
+    # page-faulted 26 MB per call and ran 25% slower (2-core Xeon).
+    mask = np.concatenate([bitperm._transpose8(np.ascontiguousarray(windows[:, :full])),
+                           windows[:, full:]], axis=1)
+    return (data.reshape(n, frame_bytes) ^ mask).tobytes()
+
+
 class _Kernel(NamedTuple):
-    """The two operations on map states; each returns the last state.
+    """The three operations; the two on map states return the last state.
 
     bytes(x, mu, low, count) -> (keys, x), key byte i whitened with
     (low + i) & 0xFF; bins(x, mu, count, bins) -> (int64 counts, x).
     Callers pass a `KeystreamState`'s x and mu and a count below 2**63.
+    mask(key, data, frame_bytes, stride) -> bytes is `_mask` on uint8
+    arrays whose geometry `_mask` has checked.
     """
 
     name: str
     bytes: Callable[[float, float, int, int], tuple[bytes, float]]
     bins: Callable[[float, float, int, int], tuple[np.ndarray, float]]
+    mask: Callable[[np.ndarray, np.ndarray, int, int], bytes]
 
 
-_PYTHON = _Kernel("python", _py_bytes, _py_bins)
+_PYTHON = _Kernel("python", _py_bytes, _py_bins, _py_mask)
 
 
 def _native_kernel(lib) -> _Kernel:
@@ -274,7 +320,13 @@ def _native_kernel(lib) -> _Kernel:
         x = lib.chaospip_bins(x, mu, count, bins, counts.ctypes.data)
         return counts, x
 
-    return _Kernel("native", bytes_, bins)
+    def mask(key, data, frame_bytes, stride):
+        out = np.empty(len(data), dtype=np.uint8)  # as in bytes_
+        lib.chaospip_mask(key.ctypes.data, data.ctypes.data, len(data) // frame_bytes, frame_bytes,
+                          stride, out.ctypes.data)
+        return out.tobytes()
+
+    return _Kernel("native", bytes_, bins, mask)
 
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -342,24 +394,33 @@ def _load_library():
         _build(source, path)
     lib = ctypes.CDLL(str(path))
     f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-    for name, argtypes in [("chaospip_bytes", [f64, f64, i64, i64, ptr]),
-                           ("chaospip_bins", [f64, f64, i64, i64, ptr])]:
+    for name, argtypes, restype in [("chaospip_bytes", [f64, f64, i64, i64, ptr], f64),
+                                    ("chaospip_bins", [f64, f64, i64, i64, ptr], f64),
+                                    ("chaospip_mask", [ptr, ptr, i64, i64, i64, ptr], None)]:
         function = getattr(lib, name)
-        function.argtypes, function.restype = argtypes, f64
+        function.argtypes, function.restype = argtypes, restype
     return lib
 
 
 def _agrees(kernel: _Kernel) -> bool:
-    """Whether `kernel` reproduces the oracle on a short probe orbit.
+    """Whether `kernel` reproduces the oracle on a short probe orbit, and
+    its mask on overlapping windows, windows with gaps and partial tails.
 
     This catches a compiler that fuses or widens float operations in spite
-    of the flags, which would change every keystream after a few iterates.
+    of the flags, which would change every keystream after a few iterates,
+    and a mask that reads blocks in the wrong byte order.
     """
     x, mu, count, bins = 0.4, 3.99, 1000, 97
+    # (frame_bytes, stride, n): overlap with a tail, a gap with a tail, no tail.
+    geometries = [(21, 17, 5), (13, 20, 4), (24, 24, 3)]
 
     def probe(k: _Kernel):
         counts, end = k.bins(x, mu, count, bins)
-        return k.bytes(x, mu, 7, count), counts.tolist(), end
+        keys, _ = k.bytes(x, mu, 7, count)
+        key = np.frombuffer(keys, dtype=np.uint8)
+        masks = [k.mask(key[:stride * (n - 1) + size], key[::-1][:size * n].copy(), size, stride)
+                 for size, stride, n in geometries]
+        return keys, counts.tolist(), end, masks
 
     return probe(kernel) == probe(_PYTHON)
 

@@ -312,6 +312,17 @@ def test_batched_plane_state_lands_where_the_next_frame_starts():
         assert state == skip(seed(KEY), 20 * stride)
 
 
+@pytest.mark.parametrize("frame_bytes,stride", [(None, None), (21, 17), (105, 200)])
+def test_plane_reads_any_contiguous_byte_buffer(frame_bytes, stride):
+    # One frame, overlapping windows and windows with gaps, all with tails.
+    data = bytes(range(256)) * 2 + bytes(13)  # 525 bytes
+    want = transform_plane(data, seed(KEY), frame_bytes, stride)
+    for buffer in (bytearray(data), memoryview(data), memoryview(bytearray(data))):
+        got = transform_plane(buffer, seed(KEY), frame_bytes, stride)
+        assert type(got[0]) is bytes
+        assert got == want
+
+
 @pytest.mark.parametrize("frame_bytes,stride", [(0, 1), (7, 7), (10, 0), (10, -3)])
 def test_plane_rejects_frames_that_do_not_tile(frame_bytes, stride):
     with pytest.raises(ValueError):

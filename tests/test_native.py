@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaospip import keystream, write_pnm
@@ -105,6 +105,9 @@ class CountingLib:
         self.calls.append((count, bins))
         return x / 2.0
 
+    def chaospip_mask(self, key, data, n, frame_bytes, stride, out):
+        self.calls.append((n, frame_bytes, stride))
+
 
 @pytest.fixture
 def counting_lib(monkeypatch) -> CountingLib:
@@ -147,6 +150,60 @@ def test_zero_bins_never_reach_c():
     with pytest.raises(ValueError):
         keystream._native_kernel(lib).bins(0.4, 3.9, 8, 0)
     assert lib.calls == []
+
+
+@pytest.mark.parametrize(
+    "key_len,data_len,frame_bytes,stride",
+    [(0, 0, 8, 8),      # no frame
+     (7, 20, 7, 7),     # frames do not tile the data
+     (68, 20, 10, 1),   # key one byte too long
+     (10, 20, 10, 0),   # stride 0
+     (7, 20, 10, -3),   # negative stride, key sized to match
+     (20, 20, 0, 1),    # empty frames
+     (26, 20, 10, 17)],  # key one byte too short
+)
+def test_bad_mask_geometry_never_reaches_c(counting_lib, key_len, data_len, frame_bytes, stride):
+    # C reads key[stride * i + j] and data[frame_bytes * i + j] unchecked.
+    with pytest.raises(ValueError):
+        keystream._mask(bytes(key_len), bytes(data_len), frame_bytes, stride)
+    assert counting_lib.calls == []
+    keystream._mask(bytes(27), bytes(20), 10, 17)
+    assert counting_lib.calls == [(2, 10, 17)]
+
+
+def untransposed(key, data, frame_bytes, stride):
+    n = len(data) // frame_bytes
+    windows = np.stack([key[stride * i:stride * i + frame_bytes] for i in range(n)])
+    return (data.reshape(n, frame_bytes) ^ windows).tobytes()
+
+
+def back_to_back(key, data, frame_bytes, stride):
+    return keystream._py_mask(np.resize(key, len(data)), data, frame_bytes, frame_bytes)
+
+
+@pytest.mark.parametrize("mask", [untransposed, back_to_back])
+def test_probe_rejects_a_wrong_mask(mask):
+    assert keystream._agrees(keystream._PYTHON)
+    assert not keystream._agrees(keystream._PYTHON._replace(mask=mask))
+
+
+@native_only
+@settings(max_examples=300, deadline=None)
+@given(frame_bytes=st.integers(1, 200), stride=st.integers(1, 300), n=st.integers(1, 40),
+       seed_=st.integers(0, 2**32 - 1))
+@example(frame_bytes=64, stride=17, n=40, seed_=0)   # overlapping, no tail
+@example(frame_bytes=13, stride=17, n=3, seed_=1)    # gaps, a 5-byte tail
+@example(frame_bytes=7, stride=1, n=40, seed_=2)     # only tails
+@example(frame_bytes=200, stride=300, n=1, seed_=3)  # one frame
+def test_native_mask_matches_oracle(frame_bytes, stride, n, seed_):
+    rng = np.random.default_rng(seed_)
+    key = rng.integers(0, 256, stride * (n - 1) + frame_bytes, dtype=np.uint8).tobytes()
+    data = rng.integers(0, 256, n * frame_bytes, dtype=np.uint8).tobytes()
+    got = keystream._mask(key, data, frame_bytes, stride)
+    want = keystream._py_mask(np.frombuffer(key, dtype=np.uint8),
+                              np.frombuffer(data, dtype=np.uint8), frame_bytes, stride)
+    assert type(got) is bytes
+    assert got == want
 
 
 @pytest.mark.parametrize(
