@@ -1,12 +1,14 @@
-/* Native logistic-map kernel; keystream._orbit is its oracle.
+/* Native kernel of four operations; keystream.py holds the oracle of each.
  *
  * Two loops, one writing key bytes and one counting states into bins
  * (keystream.skip counts into a single bin), must match the pure-Python
- * kernel in keystream.py bit for bit. That holds only if each iterate is
+ * map, keystream._orbit, bit for bit. That holds only if each iterate is
  * evaluated as t = 1 - x, u = x * t, x = mu * u, each rounded once in
  * binary64: compile with -ffp-contract=off (no fused multiply-add) and
- * never with -ffast-math or reassociation. A third loop, the cipher's
- * transpose-and-XOR, is integer-only; keystream._py_mask is its oracle.
+ * never with -ffast-math or reassociation. The other two of the kernel's
+ * four operations are integer-only: the cipher's transpose-and-XOR, whose
+ * oracle is keystream._py_mask, and a byte histogram, whose oracle is
+ * np.bincount.
  *
  * Callers guarantee x in [0, 1], mu in [0, 4] and 0 <= count < 2**63:
  * keystream.KeystreamState holds no other state, and the Python callers
@@ -86,4 +88,23 @@ void chaospip_mask(const uint8_t *key, const uint8_t *data, int64_t n, int64_t f
         for (; j < frame_bytes; j++)
             c[j] = p[j] ^ k[j];
     }
+}
+
+/* counts[v] = the number of bytes v in data[0 .. n), for v in 0..255. Four
+ * tables, one per byte of each group of four, so that a run of equal bytes
+ * does not make every increment wait for the one before it. */
+void chaospip_hist(const uint8_t *data, int64_t n, int64_t *counts)
+{
+    int64_t tables[4][256] = {{0}};
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        tables[0][data[i]]++;
+        tables[1][data[i + 1]]++;
+        tables[2][data[i + 2]]++;
+        tables[3][data[i + 3]]++;
+    }
+    for (; i < n; i++)
+        tables[0][data[i]]++;
+    for (int v = 0; v < 256; v++)
+        counts[v] = tables[0][v] + tables[1][v] + tables[2][v] + tables[3][v];
 }

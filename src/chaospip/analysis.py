@@ -34,7 +34,7 @@ def histogram256(data) -> np.ndarray:
     if values.dtype != np.uint8 and values.size:
         if values.dtype.kind not in "iu" or values.min() < 0 or values.max() > 255:
             raise ValueError(f"histogram256 needs byte values 0..255, got {values.dtype} data")
-    return np.bincount(values.astype(np.uint8, copy=False), minlength=256).astype(np.int64)
+    return keystream._histogram(values.astype(np.uint8, copy=False))
 
 
 def entropy_of_counts(counts) -> float:

@@ -13,33 +13,35 @@ into an image leaves measurable plaintext correlation in the ciphertext.
 The cycling counter balances every bit position without touching
 determinism, seed sensitivity, or the cipher's involution.
 
-The package's loops run in one kernel of three operations. Every reader
+The package's loops run in one kernel of four operations. Every reader
 of map states (`skip`, `take_bytes`, `analysis.keystream_histogram`) uses
 the first two: make key bytes, or count states into histogram bins. `skip`
-counts into a single bin and keeps only the last state. The third, `_mask`,
-is integer-only: it XORs frames with bit-transposed windows of a drawn
-keystream, the cipher's block transform. There are two kernels. The
+counts into a single bin and keeps only the last state. The other two are
+integer-only. `_mask` XORs frames with bit-transposed windows of a drawn
+keystream, the cipher's block transform, and `_histogram` counts byte
+values for `analysis.histogram256`. There are two kernels. The
 pure-Python one reads states from `_orbit`, the single Python definition
 of the recurrence, and extracts bytes or bins with numpy, which is exact:
 numpy's binary64 multiply and truncation of positive values match
-Python's. It masks with `bitperm._transpose8` over strided windows. It
-is the oracle. The native one, `_kernel.c`, is compiled on first use with
-`cc -O2 -ffp-contract=off -shared -fPIC` into a per-user cache directory
-and loaded through ctypes. It must match the oracle bit for bit, so the
-compiler may not change a single rounding: `-ffp-contract=off` forbids
-fused multiply-adds, which round once where Python rounds twice, and
-`-ffast-math`, `-march=native` and any other flag that lets the compiler
-reassociate or change precision are never used. A short probe against the
-oracle, masks included, guards each load. If the library cannot be
-built, loaded or agree with the probe, the oracle runs instead; `BACKEND`
-names the kernel in use ("native" or "python").
+Python's. It masks with `bitperm._transpose8` over strided windows and
+counts bytes with `np.bincount`. It is the oracle. The native one,
+`_kernel.c`, is compiled on first use with `cc -O2 -ffp-contract=off
+-shared -fPIC` into a per-user cache directory and loaded through ctypes.
+It must match the oracle bit for bit, so the compiler may not change a
+single rounding: `-ffp-contract=off` forbids fused multiply-adds, which
+round once where Python rounds twice, and `-ffast-math`, `-march=native`
+and any other flag that lets the compiler reassociate or change precision
+are never used. A short probe against the oracle, masks and a byte
+histogram included, guards each load. If the library cannot be built,
+loaded or agree with the probe, the oracle runs instead; `BACKEND` names
+the kernel in use ("native" or "python").
 
 The C loops need x in [0, 1], mu in [0, 4] and counts below 2**63, and
 these hold by construction: `KeystreamState` refuses other states, the
 binary64 map keeps [0, 1] invariant for such mu, and every reader of map
 states refuses larger counts, which no kernel could finish anyway. The
 mask loop indexes its buffers unchecked; `_mask` refuses any geometry they
-do not fit.
+do not fit, and `_histogram` hands C only contiguous bytes.
 """
 
 from __future__ import annotations
@@ -242,6 +244,13 @@ def _mask(key, data, frame_bytes: int, stride: int) -> bytes:
     return _loaded().mask(key, data, frame_bytes, stride)
 
 
+def _histogram(values: np.ndarray) -> np.ndarray:
+    """int64 counts of each value 0..255 in the uint8 array `values`."""
+    if values.dtype != np.uint8:
+        raise ValueError(f"cannot count {values.dtype} values as bytes")
+    return _loaded().hist(np.ascontiguousarray(values).ravel())
+
+
 # ---------------------------------------------------------------- kernels
 
 
@@ -283,23 +292,29 @@ def _py_mask(key: np.ndarray, data: np.ndarray, frame_bytes: int, stride: int) -
     return (data.reshape(n, frame_bytes) ^ mask).tobytes()
 
 
+def _py_hist(values: np.ndarray) -> np.ndarray:
+    return np.bincount(values, minlength=256).astype(np.int64, copy=False)
+
+
 class _Kernel(NamedTuple):
-    """The three operations; the two on map states return the last state.
+    """The four operations; the two on map states return the last state.
 
     bytes(x, mu, low, count) -> (keys, x), key byte i whitened with
     (low + i) & 0xFF; bins(x, mu, count, bins) -> (int64 counts, x).
     Callers pass a `KeystreamState`'s x and mu and a count below 2**63.
     mask(key, data, frame_bytes, stride) -> bytes is `_mask` on uint8
-    arrays whose geometry `_mask` has checked.
+    arrays whose geometry `_mask` has checked. hist(values) -> int64
+    counts[256] counts the bytes of a contiguous 1-D uint8 array.
     """
 
     name: str
     bytes: Callable[[float, float, int, int], tuple[bytes, float]]
     bins: Callable[[float, float, int, int], tuple[np.ndarray, float]]
     mask: Callable[[np.ndarray, np.ndarray, int, int], bytes]
+    hist: Callable[[np.ndarray], np.ndarray]
 
 
-_PYTHON = _Kernel("python", _py_bytes, _py_bins, _py_mask)
+_PYTHON = _Kernel("python", _py_bytes, _py_bins, _py_mask, _py_hist)
 
 
 def _native_kernel(lib) -> _Kernel:
@@ -326,7 +341,12 @@ def _native_kernel(lib) -> _Kernel:
                           stride, out.ctypes.data)
         return out.tobytes()
 
-    return _Kernel("native", bytes_, bins, mask)
+    def hist(values):
+        counts = np.zeros(256, dtype=np.int64)
+        lib.chaospip_hist(values.ctypes.data, len(values), counts.ctypes.data)
+        return counts
+
+    return _Kernel("native", bytes_, bins, mask, hist)
 
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -396,19 +416,22 @@ def _load_library():
     f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     for name, argtypes, restype in [("chaospip_bytes", [f64, f64, i64, i64, ptr], f64),
                                     ("chaospip_bins", [f64, f64, i64, i64, ptr], f64),
-                                    ("chaospip_mask", [ptr, ptr, i64, i64, i64, ptr], None)]:
+                                    ("chaospip_mask", [ptr, ptr, i64, i64, i64, ptr], None),
+                                    ("chaospip_hist", [ptr, i64, ptr], None)]:
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
     return lib
 
 
 def _agrees(kernel: _Kernel) -> bool:
-    """Whether `kernel` reproduces the oracle on a short probe orbit, and
-    its mask on overlapping windows, windows with gaps and partial tails.
+    """Whether `kernel` reproduces the oracle on a short probe orbit, its
+    mask on overlapping windows, windows with gaps and partial tails, and
+    its histogram of 999 bytes, three past the last group of four.
 
     This catches a compiler that fuses or widens float operations in spite
     of the flags, which would change every keystream after a few iterates,
-    and a mask that reads blocks in the wrong byte order.
+    a mask that reads blocks in the wrong byte order and a histogram that
+    drops the tail.
     """
     x, mu, count, bins = 0.4, 3.99, 1000, 97
     # (frame_bytes, stride, n): overlap with a tail, a gap with a tail, no tail.
@@ -420,7 +443,7 @@ def _agrees(kernel: _Kernel) -> bool:
         key = np.frombuffer(keys, dtype=np.uint8)
         masks = [k.mask(key[:stride * (n - 1) + size], key[::-1][:size * n].copy(), size, stride)
                  for size, stride, n in geometries]
-        return keys, counts.tolist(), end, masks
+        return keys, counts.tolist(), end, masks, k.hist(key[1:]).tolist()
 
     return probe(kernel) == probe(_PYTHON)
 

@@ -1,10 +1,12 @@
 """Property tests: the parsers return frames or raise FormatError, nothing else,
-and the PNM reader accepts every header its grammar allows."""
+the PNM reader accepts every header its grammar allows, and the PNM layer's
+interleaving matches plain numpy transposes."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaospip import (
     FormatError,
@@ -90,6 +92,48 @@ def test_read_pnm_accepts_any_separators(frame, separators, last):
     header = canonical[:2] + b"".join(sep + token for sep, token in zip(separators, tokens)) + last
     raster = canonical[len(canonical) - len(frame.data):]
     assert read_pnm(header + raster) == read_pnm(canonical) == frame
+
+
+_sides = st.integers(1, 64)
+# (width, height): 1 x N, N x 1 and any small shape, odd sizes included.
+_geometries = st.one_of(st.tuples(st.just(1), st.integers(1, 300)),
+                        st.tuples(st.integers(1, 300), st.just(1)),
+                        st.tuples(_sides, _sides))
+_rasters = st.builds(
+    lambda shape, channels, seed: (*shape, channels, np.random.default_rng(seed).integers(
+        0, 256, shape[0] * shape[1] * channels, dtype=np.uint8).tobytes()),
+    _geometries, st.sampled_from([1, 3]), st.integers(0, 2**32 - 1),
+)
+
+
+def _pnm_header(width: int, height: int, channels: int) -> bytes:
+    return f"P{5 if channels == 1 else 6}\n{width} {height}\n255\n".encode()
+
+
+@SETTINGS
+@given(_rasters)
+@example((1, 1, 3, b"abc"))
+@example((1, 5, 3, bytes(range(15))))
+@example((7, 1, 3, bytes(range(21))))
+def test_write_pnm_is_the_header_plus_the_transposed_planes(raster):
+    width, height, channels, data = raster
+    planar = np.frombuffer(data, dtype=np.uint8).reshape(channels, height, width)
+    assert write_pnm(Frame(width, height, channels, data)) == \
+        _pnm_header(width, height, channels) + planar.transpose(1, 2, 0).tobytes()
+
+
+@SETTINGS
+@given(_rasters, _separator_runs)
+@example((1, 5, 3, bytes(range(15))), b"# comment\n")
+@example((7, 1, 3, bytes(range(21))), b" ")
+def test_read_pnm_is_the_sliced_and_transposed_payload(raster, separator):
+    width, height, channels, data = raster
+    header = _pnm_header(width, height, channels).replace(b"\n", separator, 1)
+    blob = header + data
+    interleaved = np.frombuffer(blob[len(header):], dtype=np.uint8).reshape(height, width, channels)
+    want = Frame(width, height, channels, interleaved.transpose(2, 0, 1).tobytes())
+    for kind in (bytes, bytearray, memoryview):
+        assert read_pnm(kind(blob)) == want, kind
 
 
 @SETTINGS

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaospip import keystream, write_pnm
-from chaospip.analysis import keystream_histogram
+from chaospip.analysis import histogram256, keystream_histogram
 from chaospip.cli import run
 from chaospip.errors import RangeError
 from chaospip.keystream import (
@@ -108,6 +108,9 @@ class CountingLib:
     def chaospip_mask(self, key, data, n, frame_bytes, stride, out):
         self.calls.append((n, frame_bytes, stride))
 
+    def chaospip_hist(self, data, n, counts):
+        self.calls.append((n,))
+
 
 @pytest.fixture
 def counting_lib(monkeypatch) -> CountingLib:
@@ -171,6 +174,15 @@ def test_bad_mask_geometry_never_reaches_c(counting_lib, key_len, data_len, fram
     assert counting_lib.calls == [(2, 10, 17)]
 
 
+def test_histogram_hands_c_contiguous_bytes_only(counting_lib):
+    # C reads n bytes from the start of the buffer, whatever its strides.
+    with pytest.raises(ValueError):
+        keystream._histogram(np.zeros(4, dtype=np.int16))
+    assert counting_lib.calls == []
+    histogram256(np.arange(24, dtype=np.uint8).reshape(4, 6)[:, ::2])
+    assert counting_lib.calls == [(12,)]
+
+
 def untransposed(key, data, frame_bytes, stride):
     n = len(data) // frame_bytes
     windows = np.stack([key[stride * i:stride * i + frame_bytes] for i in range(n)])
@@ -185,6 +197,33 @@ def back_to_back(key, data, frame_bytes, stride):
 def test_probe_rejects_a_wrong_mask(mask):
     assert keystream._agrees(keystream._PYTHON)
     assert not keystream._agrees(keystream._PYTHON._replace(mask=mask))
+
+
+def test_probe_rejects_a_histogram_without_its_tail():
+    def tailless(values):
+        return keystream._py_hist(values[:len(values) - len(values) % 4])
+
+    assert not keystream._agrees(keystream._PYTHON._replace(hist=tailless))
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=st.integers(0, 10_000), step=st.integers(1, 3), offset=st.integers(0, 3),
+       dtype=st.sampled_from([np.uint8, np.int8, np.uint16, np.int32, np.int64, np.uint64]),
+       seed_=st.integers(0, 2**32 - 1))
+@example(length=0, step=1, offset=0, dtype=np.uint8, seed_=0)
+@example(length=1, step=1, offset=1, dtype=np.uint8, seed_=1)
+@example(length=2, step=2, offset=0, dtype=np.uint8, seed_=2)
+@example(length=3, step=1, offset=3, dtype=np.int32, seed_=3)
+@example(length=4, step=1, offset=0, dtype=np.uint8, seed_=4)
+def test_histogram_matches_bincount(length, step, offset, dtype, seed_):
+    # Every tail length past the last group of four, strided views and wider
+    # integer dtypes holding byte values.
+    top = 128 if dtype == np.int8 else 256
+    values = np.random.default_rng(seed_).integers(0, top, offset + length * step).astype(dtype)
+    values = values[offset::step]
+    got = histogram256(values)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.bincount(values.astype(np.int64), minlength=256).tolist()
 
 
 @native_only
