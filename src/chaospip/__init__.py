@@ -22,12 +22,14 @@ from .analysis import (
     keystream_histogram,
     shannon_entropy,
 )
-from .bitperm import BLOCK_SIZE, forward_permute, inverse_permute
 from .cipher import (
+    BLOCK_SIZE,
     Frame,
     ReseedMode,
     decrypt_image,
     encrypt_image,
+    forward_permute,
+    inverse_permute,
     process_block,
     process_stream,
     transform_plane,

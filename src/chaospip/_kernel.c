@@ -62,8 +62,8 @@ static uint64_t load64(const uint8_t *p)
 
 /* Frame i of n (frame_bytes bytes at data + frame_bytes * i) XOR-ed with the
  * key window at key + stride * i: each full 8-byte block from the frame's
- * start with the window's block bit-transposed (bitperm._transpose8, the
- * block read big-endian), a final partial block with the window as is.
+ * start with the window's block bit-transposed (read big-endian, as the
+ * oracle reads it), a final partial block with the window as is.
  * The caller sizes key to stride * (n - 1) + frame_bytes and out to
  * n * frame_bytes. */
 void chaospip_mask(const uint8_t *key, const uint8_t *data, int64_t n, int64_t frame_bytes,

@@ -1,10 +1,14 @@
-"""Encryption/decryption pipeline over planes, frames, and frame sequences.
+"""Encryption/decryption pipeline over blocks, planes, frames, and frame sequences.
 
 Each 8-byte block is transposed bit-wise, XOR-ed with 8 keystream bytes,
 and transposed back; a trailing partial block is XOR-ed without the
 permutation so ciphertext length always equals plaintext length. The
-transpose T is linear over GF(2) and its own inverse, so a full block is
-computed as c = T(T(p) ^ k) = p ^ T(k): only the keystream is transposed.
+transpose T reads a block as an 8x8 bit matrix (row i = pixel i, column
+j = bit j, j = 0 the most significant bit) and moves bit (i, j) to (j, i),
+so each output pixel takes one bit from every input pixel. T is linear
+over GF(2) and its own inverse, so a full block is computed as
+c = T(T(p) ^ k) = p ^ T(k): only the keystream is transposed, by
+`keystream._mask` for planes and single blocks alike.
 XOR is self-inverse, so the whole transform is an involution: running it
 twice with the same key is the identity, and decryption is the same
 operation as encryption.
@@ -26,9 +30,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from . import bitperm, keystream
+from . import keystream
 from .errors import DimensionMismatch
 from .keystream import KeyMaterial, KeystreamState
+
+BLOCK_SIZE = 8
 
 # Extra iterates skipped per frame index in PER_FRAME mode, so every frame
 # starts from its own point on the trajectory. The constant is arbitrary;
@@ -82,15 +88,25 @@ class Frame:
         return self.data[channel * size : (channel + 1) * size]
 
 
-def process_block(block, key_bytes) -> bytes:
-    """Permute, XOR with 8 key bytes in block order, permute back.
+def _block(data) -> bytes:
+    """`data` as bytes, refused unless it holds exactly one block."""
+    if len(data) != BLOCK_SIZE:
+        raise ValueError(f"a block holds exactly {BLOCK_SIZE} bytes, got {len(data)}")
+    return bytes(data)
 
-    Computed as block ^ T(key_bytes), which equals T(T(block) ^ key_bytes).
-    """
-    if len(block) != bitperm.BLOCK_SIZE or len(key_bytes) != bitperm.BLOCK_SIZE:
-        raise ValueError(f"need a {bitperm.BLOCK_SIZE}-byte block and {bitperm.BLOCK_SIZE} key "
-                         f"bytes, got {len(block)} and {len(key_bytes)}")
-    return bytes(p ^ k for p, k in zip(block, bitperm.forward_permute(key_bytes)))
+
+def forward_permute(block) -> bytes:
+    """Transpose the block's 8x8 bit matrix, computed as 0 ^ T(block)."""
+    return keystream._mask(_block(block), bytes(BLOCK_SIZE), BLOCK_SIZE, BLOCK_SIZE)
+
+
+# The transpose is an involution, so undoing it is the same operation.
+inverse_permute = forward_permute
+
+
+def process_block(block, key_bytes) -> bytes:
+    """Permute, XOR with 8 key bytes in block order, permute back: block ^ T(key_bytes)."""
+    return keystream._mask(_block(key_bytes), _block(block), BLOCK_SIZE, BLOCK_SIZE)
 
 
 def transform_plane(

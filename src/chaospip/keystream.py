@@ -23,7 +23,7 @@ values for `analysis.histogram256`. There are two kernels. The
 pure-Python one reads states from `_orbit`, the single Python definition
 of the recurrence, and extracts bytes or bins with numpy, which is exact:
 numpy's binary64 multiply and truncation of positive values match
-Python's. It masks with `bitperm._transpose8` over strided windows and
+Python's. It masks with `_py_transpose8` over strided windows and
 counts bytes with `np.bincount`. It is the oracle. The native one,
 `_kernel.c`, is compiled on first use with `cc -O2 -ffp-contract=off
 -shared -fPIC` into a per-user cache directory and loaded through ctypes.
@@ -60,7 +60,6 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import bitperm
 from .errors import FixedPointError, ParseError, RangeError
 
 # Chaotic band of the logistic map. Below ~3.57 (the period-doubling
@@ -98,6 +97,10 @@ class KeyMaterial:
             raise FixedPointError(
                 f"x0 = 1 - 1/mu = {self.x0!r} is a fixed point and would yield a constant keystream"
             )
+        try:  # a Python int from here on, so numpy integers never reach states
+            object.__setattr__(self, "burn_in", operator.index(self.burn_in))
+        except TypeError:
+            raise RangeError(f"burn_in must be an integer, got {self.burn_in!r}") from None
         if not 0 <= self.burn_in < 2**63:
             raise RangeError(f"burn_in must lie in [0, 2**63), got {self.burn_in!r}")
 
@@ -152,9 +155,7 @@ def _parse_decimal(text: str, name: str) -> float:
 
 def derive_key_from_params(mu: str, x0: str, burn_in: int = DEFAULT_BURN_IN) -> KeyMaterial:
     """Build a key from decimal strings (round-to-nearest binary64)."""
-    return KeyMaterial(
-        mu=_parse_decimal(mu, "mu"), x0=_parse_decimal(x0, "x0"), burn_in=int(burn_in)
-    )
+    return KeyMaterial(mu=_parse_decimal(mu, "mu"), x0=_parse_decimal(x0, "x0"), burn_in=burn_in)
 
 
 def derive_key_from_hex(key_hex: str) -> KeyMaterial:
@@ -275,19 +276,38 @@ def _py_bins(x: float, mu: float, count: int, bins: int) -> tuple[np.ndarray, fl
     return counts, x
 
 
+# Hacker's Delight transpose8: three masked swaps exchange the 1x1, 2x2 and
+# 4x4 sub-blocks across the diagonal.
+_SWAPS = [(np.uint64(shift), np.uint64(mask)) for shift, mask in
+          ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))]
+
+
+def _py_transpose8(blocks: np.ndarray) -> np.ndarray:
+    """Bit-transpose every 8-byte block of a contiguous uint8 array (`cipher`'s layout).
+
+    Each block is read as one big-endian uint64, so pixel i is byte i from
+    the top and bit j of a pixel sits at position 8*(7-i) + (7-j).
+    """
+    x = blocks.view(">u8").astype(np.uint64)
+    for shift, mask in _SWAPS:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    return x.astype(">u8").view(np.uint8)
+
+
 def _py_mask(key: np.ndarray, data: np.ndarray, frame_bytes: int, stride: int) -> bytes:
     n = len(data) // frame_bytes
     # Row i is key[stride * i : stride * i + frame_bytes]; the last row ends at
     # len(key). This is sliding_window_view(...)[::stride] without its checks,
     # which cost about 15 us a call (4% of a 320x240 frame on a 2-core Xeon).
     windows = as_strided(key, (n, frame_bytes), (stride, 1), writeable=False)
-    full = frame_bytes - frame_bytes % bitperm.BLOCK_SIZE
+    full = frame_bytes - frame_bytes % 8
     # These are the allocations, in order, of the single-frame code before
     # batching. Writing into a preallocated mask instead, or skipping the
     # concatenate for frames without a tail, let glibc trim and regrow its
     # heap on every call of a loop of CLI commands: a 1080p encrypt then
     # page-faulted 26 MB per call and ran 25% slower (2-core Xeon).
-    mask = np.concatenate([bitperm._transpose8(np.ascontiguousarray(windows[:, :full])),
+    mask = np.concatenate([_py_transpose8(np.ascontiguousarray(windows[:, :full])),
                            windows[:, full:]], axis=1)
     return (data.reshape(n, frame_bytes) ^ mask).tobytes()
 

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from chaospip import Frame
+from chaospip import Frame, keystream
 
 from synthimg import standard_test_frames
+
+
+def pytest_report_header(config):
+    """Name the kernel the suite runs on, which depends on the host's compiler."""
+    return f"chaospip kernel: {keystream.BACKEND}"
 
 
 @pytest.fixture(scope="session")

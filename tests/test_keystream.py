@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chaospip import (
@@ -60,6 +61,29 @@ def test_out_of_range_parameters_rejected(mu, x0):
 def test_negative_burn_in_rejected():
     with pytest.raises(RangeError):
         derive_key_from_params("3.934", "0.5250", -1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: KeyMaterial(mu=3.9, x0=0.4, burn_in=1.5),
+        lambda: derive_key_from_params("3.9", "0.4", 1.9),  # not truncated to 1
+        lambda: derive_key_from_params("3.9", "0.4", "1000"),
+        lambda: KeyMaterial(mu=3.9, x0=0.4, burn_in=None),
+    ],
+    ids=["float", "float-params", "str-params", "none"],
+)
+def test_non_integer_burn_in_rejected(make):
+    with pytest.raises(RangeError):
+        make()
+
+
+@pytest.mark.parametrize("burn_in", [np.int64(5), np.uint8(5)])
+def test_numpy_integer_burn_in_is_stored_as_int(burn_in):
+    key = KeyMaterial(mu=3.9, x0=0.4, burn_in=burn_in)
+    assert type(key.burn_in) is int
+    assert key == KeyMaterial(mu=3.9, x0=0.4, burn_in=5)
+    assert type(seed(key).n) is int
 
 
 def test_fixed_point_seed_rejected():

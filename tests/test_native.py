@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaospip import keystream, write_pnm
+from chaospip import forward_permute, keystream, process_block, write_pnm
 from chaospip.analysis import histogram256, keystream_histogram
 from chaospip.cli import run
 from chaospip.errors import RangeError
@@ -243,6 +243,30 @@ def test_native_mask_matches_oracle(frame_bytes, stride, n, seed_):
                               np.frombuffer(data, dtype=np.uint8), frame_bytes, stride)
     assert type(got) is bytes
     assert got == want
+
+
+def test_block_api_runs_one_mask_call(counting_lib):
+    # A wrong length is refused before C; a block is one 8-byte frame.
+    with pytest.raises(ValueError):
+        process_block(bytes(8), bytes(7))
+    with pytest.raises(ValueError):
+        forward_permute(bytes(9))
+    assert counting_lib.calls == []
+    forward_permute(bytes(8))
+    process_block(bytes(8), bytes(8))
+    assert counting_lib.calls == [(1, 8, 8), (1, 8, 8)]
+
+
+@native_only
+def test_block_api_matches_oracle(monkeypatch):
+    # All 64 single-bit blocks, each also as its own key, then random pairs.
+    bits = [bytes(0x80 >> j if k == i else 0 for k in range(8)) for i in range(8) for j in range(8)]
+    pairs = np.random.default_rng(14).integers(0, 256, (500, 2, 8), dtype=np.uint8)
+    for block, key in [(b, b) for b in bits] + [(bytes(p), bytes(k)) for p, k in pairs]:
+        got, want = both(monkeypatch, forward_permute, block)
+        assert got == want, block
+        got, want = both(monkeypatch, process_block, block, key)
+        assert got == want, (block, key)
 
 
 @pytest.mark.parametrize(
