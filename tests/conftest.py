@@ -7,8 +7,9 @@ from synthimg import standard_test_frames
 
 
 def pytest_report_header(config):
-    """Name the kernel the suite runs on, which depends on the host's compiler."""
-    return f"chaospip kernel: {keystream.BACKEND}"
+    """Name the kernel the suite runs on, which depends on the host's compiler,
+    and numpy's version, whose summation order corr2d's results follow."""
+    return f"chaospip kernel: {keystream.BACKEND}, numpy {np.__version__}"
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chaospip import (
     DegenerateInput,
     DimensionMismatch,
@@ -19,6 +22,7 @@ from chaospip import (
     keystream_histogram,
     shannon_entropy,
 )
+from chaospip import analysis
 
 from synthimg import synthetic_gray, synthetic_rgb
 
@@ -145,6 +149,126 @@ def test_corr_rejects_shape_mismatch_and_constants():
         corr2d(np.full((4, 4), 7), np.arange(16).reshape(4, 4))
     with pytest.raises(EmptyInput):
         corr2d(b"", b"")
+
+
+def _corr2d_oracle(a, b) -> float:
+    """The plane-sized float64 form corr2d must reproduce bit for bit."""
+    a = analysis._as_array(a).astype(np.float64)
+    b = analysis._as_array(b).astype(np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"plane shapes differ: {a.shape} vs {b.shape}")
+    if not a.size:
+        raise EmptyInput("correlation of empty planes is undefined")
+    a -= a.mean()  # astype made fresh copies, so centring in place is safe
+    b -= b.mean()
+    den = float(np.sqrt((a * a).sum() * (b * b).sum()))
+    if den == 0.0:
+        raise DegenerateInput("correlation is undefined for a constant plane")
+    return float((a * b).sum() / den)
+
+
+def _outcome(fn, a, b):
+    """The result as hex (so -0.0 and 0.0 differ), or the exception type."""
+    try:
+        return fn(a, b).hex()
+    except Exception as exc:
+        return type(exc)
+
+
+_LEAF = analysis._LEAF
+_LENGTHS = [1, 7, 129, _LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 5]
+_DTYPES = [np.uint8, np.int64, np.float32, np.float64]
+_LAYOUTS = ["C", "F", "reversed", "stepped"]
+
+
+def _values(rng, shape, dtype):
+    if np.dtype(dtype).kind == "f":
+        return (rng.standard_normal(shape) * 1e3 + 17.0).astype(dtype)
+    high = 256 if dtype == np.uint8 else 1 << 60
+    return rng.integers(-high if dtype == np.int64 else 0, high, size=shape).astype(dtype)
+
+
+def _laid_out(values, layout):
+    """A view of `values` (1-D or 2-D) with the given memory layout."""
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "reversed":
+        flipped = np.ascontiguousarray(values[(slice(None, None, -1),) * values.ndim])
+        return flipped[(slice(None, None, -1),) * values.ndim]
+    if layout == "stepped":
+        wide = np.zeros(tuple(2 * s for s in values.shape), values.dtype)
+        view = wide[(slice(None, None, 2),) * values.ndim]
+        view[...] = values
+        return view
+    return np.ascontiguousarray(values)
+
+
+@st.composite
+def _operands(draw):
+    n = draw(st.sampled_from(_LENGTHS))
+    if draw(st.booleans()):
+        shape = (n,)
+    else:
+        rows = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        shape = (rows, n // rows)
+    dtype = draw(st.sampled_from(_DTYPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = _values(rng, shape, dtype)
+    # b mixes a scaled copy of a with fresh values, so |corr| spans (0, 1).
+    b = a.astype(np.float64) * draw(st.sampled_from([0.0, 0.5, -3.0])) + _values(rng, shape, dtype)
+    if dtype == np.uint8:
+        b %= 256
+    return a, b.astype(dtype)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_operands(), st.sampled_from(_LAYOUTS))
+def test_corr2d_matches_plane_sized_oracle_bit_for_bit(operands, layout):
+    a, b = (_laid_out(v, layout) for v in operands)
+    assert _outcome(corr2d, a, b) == _outcome(_corr2d_oracle, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operands(), st.sampled_from(_LAYOUTS), st.sampled_from(_LAYOUTS))
+def test_corr2d_with_different_layouts_agrees_within_1e12(operands, layout_a, layout_b):
+    """Operands laid out differently may not match bit for bit.
+
+    corr2d reads both in `a`'s memory order, while the oracle sums each
+    plane in its own; the two agree within 1e-12 relative.
+    """
+    a, b = _laid_out(operands[0], layout_a), _laid_out(operands[1], layout_b)
+    got, want = _outcome(corr2d, a, b), _outcome(_corr2d_oracle, a, b)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert float.fromhex(got) == pytest.approx(float.fromhex(want), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("a, b", [
+    (b"", b""),
+    (np.zeros((0, 3)), np.zeros((0, 3))),
+    (np.full((4, 4), 7), np.arange(16).reshape(4, 4)),
+    (np.arange(16.0), np.full(16, 2.5)),
+    (np.zeros((2, 3)), np.zeros((3, 2))),
+    (np.arange(_LEAF + 1), np.arange(_LEAF)),
+    (b"\x01", b"\x02"),
+])
+def test_corr2d_raises_what_the_oracle_raises(a, b):
+    want = _outcome(_corr2d_oracle, a, b)
+    assert isinstance(want, type)
+    assert _outcome(corr2d, a, b) is want
+
+
+@pytest.mark.parametrize("n", [_LEAF - 1, _LEAF + 1, _LEAF + 3, 2 * _LEAF + 7, 5 * _LEAF + 13, 1_000_003])
+def test_numpy_sums_in_the_order_corr2d_reproduces(n):
+    """numpy's pairwise split is what keeps corr2d's report bits unchanged."""
+    x = np.random.default_rng(n).standard_normal(n) * np.logspace(0, 12, n)
+    (tree,) = analysis._tree_sums(0, n, lambda lo, hi: (np.add.reduce(x[lo:hi]),))
+    assert float(np.add.reduce(x)) == tree, (
+        f"numpy {np.__version__} no longer sums {n} float64 values in the pairwise order "
+        "that analysis.corr2d reproduces leaf by leaf; corr2d's results would drift")
+    # The data is order-sensitive, so the equality above pins the order.
+    assert float(np.add.reduce(x[::-1])) != tree or math.fsum(x) != tree
 
 
 def test_plain_versus_cipher_correlation_is_negligible(table1_frames):

@@ -1,4 +1,11 @@
+import hashlib
+import json
+import os
+import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +292,29 @@ def test_analyze_rejects_mismatched_images(tmp_path, capsys):
     assert run(["analyze", "--plain", str(a), "--cipher", str(b)]) == 2
 
 
+# sha256 of the analyze report for synthetic_rgb(640, 480, 7.4, seed=5)
+# under mu=3.934, x0=0.5250, pinned from the plane-sized float64 corr2d;
+# each 307,200-pixel plane spans many of corr2d's summation leaves.
+GOLDEN_REPORT_SHA256 = "10a56a0cbe02ea24d7f354c476a21901b01c2588d824ff4f15304ba1205569d2"
+
+
+def test_analyze_report_bytes_are_pinned(tmp_path):
+    frame = synthetic_rgb(640, 480, 7.4, seed=5)
+    assert frame.width * frame.height >= 4 * analysis._LEAF
+    plain_path = tmp_path / "plain.ppm"
+    plain_path.write_bytes(write_pnm(frame))
+    container = tmp_path / "c.cpip"
+    assert run(["encrypt", "--in", str(plain_path), "--out", str(container),
+                "--mu", "3.934", "--x0", "0.5250"]) == 0
+    report_path = tmp_path / "report.txt"
+    assert run(["analyze", "--plain", str(plain_path), "--cipher", str(container),
+                "--report", str(report_path)]) == 0
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256
+    cipher = encrypt_image(frame, derive_key_from_params("3.934", "0.5250"))
+    text = cli._format_report(analysis.compare_frames(frame, cipher))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256
+
+
 def test_analyze_rejects_multi_frame_container(tmp_path):
     paths = []
     for i in range(2):
@@ -393,3 +423,97 @@ def test_not_a_container_exits_2(tmp_path):
     bogus = tmp_path / "bogus.cpip"
     bogus.write_bytes(b"NOPE" + bytes(32))
     assert run(["decrypt", "--in", str(bogus), "--out", str(tmp_path / "d"), *KEY_FLAGS]) == 2
+
+
+# ---------------------------------------------------------------- allocator policy
+
+
+_FAULT_PROBE = """
+import json, resource, sys
+from chaospip import cli
+encrypt, analyze = json.loads(sys.argv[1])
+faults = []
+for argv in [encrypt, analyze, encrypt, encrypt, analyze, encrypt, encrypt, analyze]:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.run(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the CLI's allocator policy is glibc's mallopt")
+def test_cli_calls_reuse_heap_pages_after_warm_up(tmp_path):
+    """Frame-sized buffers come from pages the process already holds.
+
+    A fresh process runs encrypt and analyze through cli.run on a 4.1 MB
+    PPM; once each command has run, no call faults in fresh pages.
+    Without the CLI's fixed thresholds, glibc served some of those
+    buffers from fresh pages, at one minor fault per 4 KiB touched.
+    """
+    rng = np.random.default_rng(61)
+    frame = Frame(1280, 1080, 3, rng.integers(0, 256, 1280 * 1080 * 3, dtype=np.uint8).tobytes())
+    plain_path = tmp_path / "plain.ppm"
+    plain_path.write_bytes(write_pnm(frame))
+    container = tmp_path / "c.cpip"
+    encrypt = ["encrypt", "--in", str(plain_path), "--out", str(container), *KEY_FLAGS]
+    analyze = ["analyze", "--plain", str(plain_path), "--cipher", str(container),
+               "--report", str(tmp_path / "report.txt")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, json.dumps([encrypt, analyze])],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert max(faults[2:]) <= 100, faults
+
+
+def test_fix_allocator_sets_both_glibc_thresholds():
+    calls = []
+
+    class FakeLibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    cli._fix_allocator(FakeLibc())
+    assert calls == [(-3, 32 << 20), (-1, 128 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    cli._fix_allocator(object())  # no mallopt (musl, macOS): nothing to do
+
+
+_ALLOCATOR_PROBE = """
+import ctypes, sys
+real_cdll, calls = ctypes.CDLL, []
+
+class Libc:
+    def __init__(self, with_mallopt):
+        if with_mallopt:
+            self.mallopt = lambda param, value: calls.append(param) or 1
+
+def cdll(name, *args, **kwargs):
+    return Libc(sys.argv[1] == "mallopt") if name is None else real_cdll(name, *args, **kwargs)
+
+ctypes.CDLL = cdll
+import chaospip
+chaospip.encrypt_image(chaospip.Frame(2, 2, 1, bytes(4)), chaospip.KeyMaterial(3.934, 0.525))
+library_calls = list(calls)
+from chaospip import cli
+code = cli.run(sys.argv[2:])
+print(library_calls, calls)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("libc", ["mallopt", "no-mallopt"])
+def test_allocator_policy_is_the_clis_alone(tmp_path, libc):
+    """Importing the library leaves malloc alone; cli sets it if it can."""
+    plain_path = tmp_path / "plain.pgm"
+    frame = write_test_pgm(plain_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["decrypt", "--in", str(tmp_path / "c.cpip"), "--out", str(tmp_path / "back.raw"), *KEY_FLAGS]
+    assert run(["encrypt", "--in", str(plain_path), "--out", str(tmp_path / "c.cpip"), *KEY_FLAGS]) == 0
+    proc = subprocess.run([sys.executable, "-c", _ALLOCATOR_PROBE, libc, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    expected = "[] [-3, -1]" if libc == "mallopt" else "[] []"
+    assert proc.stdout.split("\n")[0] == expected
+    assert (tmp_path / "back.raw").read_bytes() == frame.data
