@@ -1,14 +1,17 @@
-/* Native kernel of four operations; keystream.py holds the oracle of each.
+/* Native kernel of five operations; keystream.py holds the oracle of each.
  *
  * Two loops, one writing key bytes and one counting states into bins
  * (keystream.skip counts into a single bin), must match the pure-Python
  * map, keystream._orbit, bit for bit. That holds only if each iterate is
  * evaluated as t = 1 - x, u = x * t, x = mu * u, each rounded once in
  * binary64: compile with -ffp-contract=off (no fused multiply-add) and
- * never with -ffast-math or reassociation. The other two of the kernel's
- * four operations are integer-only: the cipher's transpose-and-XOR, whose
+ * never with -ffast-math or reassociation. Two more of the kernel's five
+ * operations are integer-only: the cipher's transpose-and-XOR, whose
  * oracle is keystream._py_mask, and a byte histogram, whose oracle is
- * np.bincount.
+ * np.bincount. The fifth, the sums and centred second moments of two
+ * byte planes for analysis.corr2d, follows numpy's pairwise summation
+ * order with every difference and product rounded once, so it needs the
+ * same flags as the map; its oracle is keystream._py_moments.
  *
  * Callers guarantee x in [0, 1], mu in [0, 4] and 0 <= count < 2**63:
  * keystream.KeystreamState holds no other state, and the Python callers
@@ -107,4 +110,105 @@ void chaospip_hist(const uint8_t *data, int64_t n, int64_t *counts)
         tables[0][data[i]]++;
     for (int v = 0; v < 256; v++)
         counts[v] = tables[0][v] + tables[1][v] + tables[2][v] + tables[3][v];
+}
+
+/* Two lanes of binary64. Each lane of an operation on it rounds exactly as
+ * the scalar operation does, so a pair of lanes is two accumulators of
+ * numpy's loop, not a reassociation. */
+typedef double f64x2 __attribute__((vector_size(16)));
+
+/* Pairwise sums of dx^2, dy^2 and dx*dy over elements [0, n), with dx and dy
+ * the tabled deviations dx = da[a[i]] and dy = db[b[i]], in the tree of
+ * numpy's pairwise_sum (loops_utils.h.src): below 8 terms sequentially from
+ * 0.0; up to 128 terms in eight accumulators r0..r7 seeded with the first
+ * eight, folded as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail
+ * sequentially; above that, the first n/2 - (n/2)%8 terms and the rest,
+ * each summed the same way, and added. */
+static void pairwise(const uint8_t *a, const uint8_t *b, int64_t n, const double *da,
+                     const double *db, double s[3])
+{
+    if (n > 128) {
+        int64_t half = n / 2;
+        double left[3], right[3];
+        half -= half % 8;
+        pairwise(a, b, half, da, db, left);
+        pairwise(a + half, b + half, n - half, da, db, right);
+        for (int k = 0; k < 3; k++)
+            s[k] = left[k] + right[k];
+        return;
+    }
+    double xx = 0.0, yy = 0.0, xy = 0.0;
+    int64_t i = 0;
+    if (n >= 8) {
+        /* Lane j of xx_k is numpy's accumulator r[2k + j], and so on. */
+        f64x2 xx0, xx1, xx2, xx3, yy0, yy1, yy2, yy3, xy0, xy1, xy2, xy3;
+#define TERMS(k, j, op) do { \
+            f64x2 x = {da[a[(j)]], da[a[(j) + 1]]}, y = {db[b[(j)]], db[b[(j) + 1]]}; \
+            xx##k op x * x; \
+            yy##k op y * y; \
+            xy##k op x * y; \
+        } while (0)
+        TERMS(0, 0, =);
+        TERMS(1, 2, =);
+        TERMS(2, 4, =);
+        TERMS(3, 6, =);
+        for (i = 8; i < n - n % 8; i += 8) {
+            TERMS(0, i, +=);
+            TERMS(1, i + 2, +=);
+            TERMS(2, i + 4, +=);
+            TERMS(3, i + 6, +=);
+        }
+#undef TERMS
+#define FOLD(r) (((r##0[0] + r##0[1]) + (r##1[0] + r##1[1])) + ((r##2[0] + r##2[1]) + (r##3[0] + r##3[1])))
+        xx = FOLD(xx);
+        yy = FOLD(yy);
+        xy = FOLD(xy);
+#undef FOLD
+    }
+    for (; i < n; i++) {
+        double x = da[a[i]], y = db[b[i]];
+        xx += x * x;
+        yy += y * y;
+        xy += x * y;
+    }
+    s[0] = xx;
+    s[1] = yy;
+    s[2] = xy;
+}
+
+/* out = {sa, sb, sxx, syy, sxy} of the n bytes of a and of b, 1 <= n < 2**45
+ * so that every sum below is exact in binary64: the sums sa and sb, the means ma = sa / n and mb = sb / n, then the pairwise
+ * sums of (a_i - ma)^2, (b_i - mb)^2 and (a_i - ma)(b_i - mb), each
+ * difference and product rounded once, plus 0.0. That is bit for bit what
+ * numpy's add.reduce gives on the float64 arrays of those terms, which
+ * starts from its identity 0.0 (turning a sum of -0.0 into 0.0). */
+void chaospip_moments(const uint8_t *a, const uint8_t *b, int64_t n, double *out)
+{
+    /* Blocks whose sums fit 32 bits, with a constant trip count, are what
+     * gcc -O2 vectorizes here: about 2.5x faster than one int64 loop. */
+    int64_t sa = 0, sb = 0, i = 0;
+    for (; i + 4096 <= n; i += 4096) {
+        uint32_t ta = 0, tb = 0;
+        for (int j = 0; j < 4096; j++) {
+            ta += a[i + j];
+            tb += b[i + j];
+        }
+        sa += ta;
+        sb += tb;
+    }
+    for (; i < n; i++) {
+        sa += a[i];
+        sb += b[i];
+    }
+    double ma = (double)sa / (double)n, mb = (double)sb / (double)n;
+    double da[256], db[256], s[3];
+    for (int v = 0; v < 256; v++) {
+        da[v] = (double)v - ma;
+        db[v] = (double)v - mb;
+    }
+    pairwise(a, b, n, da, db, s);
+    out[0] = (double)sa;
+    out[1] = (double)sb;
+    for (int k = 0; k < 3; k++)
+        out[2 + k] = 0.0 + s[k];
 }

@@ -52,32 +52,6 @@ def shannon_entropy(data) -> float:
     return entropy_of_counts(histogram256(data))
 
 
-# Elements per leaf of corr2d's summation tree. Its three float64 scratch
-# buffers (768 KiB) stay in a 1 MiB L2. Measured on 1080x1920, 240x320
-# and 8x16000 uint8 planes, 2**15 and 2**16 ran alike, and 2**14 took
-# about 15% longer.
-_LEAF = 1 << 15
-
-
-def _tree_sums(lo: int, hi: int, leaf_sums) -> tuple:
-    """Sums over elements [lo, hi), combined in numpy's pairwise order.
-
-    numpy sums a contiguous float64 array of n > 128 elements as the
-    sum of its first `n // 2 - (n // 2) % 8` elements plus the sum of
-    the rest, recursively, so every part this split yields is summed
-    the same way wherever it starts. `leaf_sums(lo, hi)` sums one part
-    of at most _LEAF elements with numpy itself.
-    """
-    n = hi - lo
-    if n <= _LEAF:
-        return leaf_sums(lo, hi)
-    half = n // 2
-    half -= half % 8
-    left = _tree_sums(lo, lo + half, leaf_sums)
-    right = _tree_sums(lo + half, hi, leaf_sums)
-    return tuple(l + r for l, r in zip(left, right))
-
-
 def corr2d(a, b) -> float:
     """Pearson correlation between two equal-shape pixel planes.
 
@@ -90,48 +64,23 @@ def corr2d(a, b) -> float:
     taking `sum()` of the three products gives, as long as both planes
     have the same memory order. Elements are read in the order of `a`'s
     float64 copy (axes by decreasing stride), and every sum follows
-    numpy's pairwise tree over that order (see _tree_sums), one L2-sized
-    leaf at a time, so no plane-sized float64 temporary is made. If `b`
-    is laid out differently, its sums take `a`'s order and may differ
-    from that reference in the last bits.
+    numpy's pairwise tree over that order (`keystream._moments`), so no
+    plane-sized float64 temporary is made. Two uint8 planes are summed by
+    the kernel's moments operation; any other pair, mixed dtypes
+    included, by its numpy oracle, one L2-sized leaf at a time. If `b` is
+    laid out differently, its sums take `a`'s order and may differ from
+    that reference in the last bits.
     """
     a = _as_array(a)
     b = _as_array(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"plane shapes differ: {a.shape} vs {b.shape}")
-    n = a.size
-    if not n:
+    if not a.size:
         raise EmptyInput("correlation of empty planes is undefined")
     order = sorted(range(a.ndim), key=lambda i: (-abs(a.strides[i]), i))
     fa = a.transpose(order).reshape(-1)  # views unless the layout needs a copy
     fb = b.transpose(order).reshape(-1)
-    scratch = np.empty((3, min(n, _LEAF)))
-
-    def sums(lo, hi):
-        x, y = scratch[0, : hi - lo], scratch[1, : hi - lo]
-        x[...] = fa[lo:hi]
-        y[...] = fb[lo:hi]
-        return np.add.reduce(x), np.add.reduce(y)
-
-    sa, sb = _tree_sums(0, n, sums)
-    ma, mb = sa / n, sb / n  # float64, as ndarray.mean divides
-
-    def moments(lo, hi):
-        # Copy, then centre in place: under numpy 1.x value-based casting,
-        # uint8 data minus a float64 scalar would compute in float16.
-        x, y, p = scratch[:, : hi - lo]
-        x[...] = fa[lo:hi]
-        x -= ma
-        y[...] = fb[lo:hi]
-        y -= mb
-        np.square(x, out=p)  # the same products as x * x, at about half the cost
-        sxx = np.add.reduce(p)
-        np.square(y, out=p)
-        syy = np.add.reduce(p)
-        np.multiply(x, y, out=p)
-        return sxx, syy, np.add.reduce(p)
-
-    sxx, syy, sxy = _tree_sums(0, n, moments)
+    _sa, _sb, sxx, syy, sxy = keystream._moments(fa, fb)
     den = float(np.sqrt(sxx * syy))
     if den == 0.0:
         raise DegenerateInput("correlation is undefined for a constant plane")

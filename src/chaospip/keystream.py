@@ -13,35 +13,39 @@ into an image leaves measurable plaintext correlation in the ciphertext.
 The cycling counter balances every bit position without touching
 determinism, seed sensitivity, or the cipher's involution.
 
-The package's loops run in one kernel of four operations. Every reader
+The package's loops run in one kernel of five operations. Every reader
 of map states (`skip`, `take_bytes`, `analysis.keystream_histogram`) uses
 the first two: make key bytes, or count states into histogram bins. `skip`
-counts into a single bin and keeps only the last state. The other two are
+counts into a single bin and keeps only the last state. The next two are
 integer-only. `_mask` XORs frames with bit-transposed windows of a drawn
 keystream, the cipher's block transform, and `_histogram` counts byte
-values for `analysis.histogram256`. There are two kernels. The
+values for `analysis.histogram256`. The fifth, `_moments`, gives
+`analysis.corr2d` the sums and centred second moments of two byte planes
+in numpy's pairwise summation order. There are two kernels. The
 pure-Python one reads states from `_orbit`, the single Python definition
 of the recurrence, and extracts bytes or bins with numpy, which is exact:
 numpy's binary64 multiply and truncation of positive values match
-Python's. It masks with `_py_transpose8` over strided windows and
-counts bytes with `np.bincount`. It is the oracle. The native one,
-`_kernel.c`, is compiled on first use with `cc -O2 -ffp-contract=off
--shared -fPIC` into a per-user cache directory and loaded through ctypes.
-It must match the oracle bit for bit, so the compiler may not change a
-single rounding: `-ffp-contract=off` forbids fused multiply-adds, which
-round once where Python rounds twice, and `-ffast-math`, `-march=native`
-and any other flag that lets the compiler reassociate or change precision
-are never used. A short probe against the oracle, masks and a byte
-histogram included, guards each load. If the library cannot be built,
-loaded or agree with the probe, the oracle runs instead; `BACKEND` names
-the kernel in use ("native" or "python").
+Python's. It masks with `_py_transpose8` over strided windows, counts
+bytes with `np.bincount` and sums moments with numpy, one L2-sized leaf
+of its pairwise tree at a time (`_py_moments`). It is the oracle. The
+native one, `_kernel.c`, is compiled on first use with `cc -O2
+-ffp-contract=off -shared -fPIC` into a per-user cache directory and
+loaded through ctypes. It must match the oracle bit for bit, so the
+compiler may not change a single rounding: `-ffp-contract=off` forbids
+fused multiply-adds, which round once where Python rounds twice, and
+`-ffast-math`, `-march=native` and any other flag that lets the compiler
+reassociate or change precision are never used. A short probe against
+the oracle, masks, a byte histogram and moments included, guards each
+load. If the library cannot be built, loaded or agree with the probe,
+the oracle runs instead; `BACKEND` names the kernel in use ("native" or
+"python").
 
 The C loops need x in [0, 1], mu in [0, 4] and counts below 2**63, and
 these hold by construction: `KeystreamState` refuses other states, the
 binary64 map keeps [0, 1] invariant for such mu, and every reader of map
 states refuses larger counts, which no kernel could finish anyway. The
 mask loop indexes its buffers unchecked; `_mask` refuses any geometry they
-do not fit, and `_histogram` hands C only contiguous bytes.
+do not fit, and `_histogram` and `_moments` hand C only contiguous bytes.
 """
 
 from __future__ import annotations
@@ -252,6 +256,22 @@ def _histogram(values: np.ndarray) -> np.ndarray:
     return _loaded().hist(np.ascontiguousarray(values).ravel())
 
 
+def _moments(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(sa, sb, sxx, syy, sxy) of two equal-length, non-empty 1-D arrays.
+
+    sa and sb are the sums, ma = sa / n and mb = sb / n the means, and
+    sxx, syy and sxy the sums of (a - ma)**2, (b - mb)**2 and
+    (a - ma) * (b - mb), all in binary64 and bit for bit what numpy's
+    `sum` gives on float64 copies (see `_py_moments`). A pair of uint8
+    arrays runs on the kernel; any other pair runs on the oracle.
+    """
+    if a.ndim != 1 or a.shape != b.shape or not len(a):
+        raise ValueError(f"cannot take moments of arrays shaped {a.shape} and {b.shape}")
+    if a.dtype == b.dtype == np.uint8:
+        return _loaded().moments(np.ascontiguousarray(a), np.ascontiguousarray(b))
+    return _py_moments(a, b)
+
+
 # ---------------------------------------------------------------- kernels
 
 
@@ -316,8 +336,72 @@ def _py_hist(values: np.ndarray) -> np.ndarray:
     return np.bincount(values, minlength=256).astype(np.int64, copy=False)
 
 
+# Elements per leaf of `_py_moments`' summation tree. Its three float64
+# scratch buffers (768 KiB) stay in a 1 MiB L2. Measured on 1080x1920,
+# 240x320 and 8x16000 uint8 planes, 2**15 and 2**16 ran alike, and 2**14
+# took about 15% longer.
+_LEAF = 1 << 15
+
+
+def _tree_sums(lo: int, hi: int, leaf_sums) -> tuple:
+    """Sums over elements [lo, hi), combined in numpy's pairwise order.
+
+    numpy sums a contiguous float64 array of n > 128 elements as the
+    sum of its first `n // 2 - (n // 2) % 8` elements plus the sum of
+    the rest, recursively, so every part this split yields is summed
+    the same way wherever it starts. `leaf_sums(lo, hi)` sums one part
+    of at most _LEAF elements with numpy itself.
+    """
+    n = hi - lo
+    if n <= _LEAF:
+        return leaf_sums(lo, hi)
+    half = n // 2
+    half -= half % 8
+    left = _tree_sums(lo, lo + half, leaf_sums)
+    right = _tree_sums(lo + half, hi, leaf_sums)
+    return tuple(l + r for l, r in zip(left, right))
+
+
+def _py_moments(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float, float, float]:
+    """`_moments` of two equal-length, non-empty 1-D arrays of any dtype.
+
+    Each sum follows numpy's pairwise tree over the whole array (see
+    `_tree_sums`), one L2-sized leaf at a time, so no array-sized float64
+    temporary is made and the result equals `sum()` of the array-sized
+    float64 terms bit for bit.
+    """
+    n = len(a)
+    scratch = np.empty((3, min(n, _LEAF)))
+
+    def sums(lo, hi):
+        x, y = scratch[0, : hi - lo], scratch[1, : hi - lo]
+        x[...] = a[lo:hi]
+        y[...] = b[lo:hi]
+        return np.add.reduce(x), np.add.reduce(y)
+
+    sa, sb = _tree_sums(0, n, sums)
+    ma, mb = sa / n, sb / n  # float64, as ndarray.mean divides
+
+    def moments(lo, hi):
+        # Copy, then centre in place: under numpy 1.x value-based casting,
+        # uint8 data minus a float64 scalar would compute in float16.
+        x, y, p = scratch[:, : hi - lo]
+        x[...] = a[lo:hi]
+        x -= ma
+        y[...] = b[lo:hi]
+        y -= mb
+        np.square(x, out=p)  # the same products as x * x, at about half the cost
+        sxx = np.add.reduce(p)
+        np.square(y, out=p)
+        syy = np.add.reduce(p)
+        np.multiply(x, y, out=p)
+        return sxx, syy, np.add.reduce(p)
+
+    return tuple(float(v) for v in (sa, sb, *_tree_sums(0, n, moments)))
+
+
 class _Kernel(NamedTuple):
-    """The four operations; the two on map states return the last state.
+    """The five operations; the two on map states return the last state.
 
     bytes(x, mu, low, count) -> (keys, x), key byte i whitened with
     (low + i) & 0xFF; bins(x, mu, count, bins) -> (int64 counts, x).
@@ -325,6 +409,9 @@ class _Kernel(NamedTuple):
     mask(key, data, frame_bytes, stride) -> bytes is `_mask` on uint8
     arrays whose geometry `_mask` has checked. hist(values) -> int64
     counts[256] counts the bytes of a contiguous 1-D uint8 array.
+    moments(a, b) -> (sa, sb, sxx, syy, sxy) is `_moments` of two
+    contiguous, equal-length, non-empty 1-D uint8 arrays, as Python
+    floats; its oracle is `_py_moments`.
     """
 
     name: str
@@ -332,9 +419,10 @@ class _Kernel(NamedTuple):
     bins: Callable[[float, float, int, int], tuple[np.ndarray, float]]
     mask: Callable[[np.ndarray, np.ndarray, int, int], bytes]
     hist: Callable[[np.ndarray], np.ndarray]
+    moments: Callable[[np.ndarray, np.ndarray], tuple[float, float, float, float, float]]
 
 
-_PYTHON = _Kernel("python", _py_bytes, _py_bins, _py_mask, _py_hist)
+_PYTHON = _Kernel("python", _py_bytes, _py_bins, _py_mask, _py_hist, _py_moments)
 
 
 def _native_kernel(lib) -> _Kernel:
@@ -366,7 +454,12 @@ def _native_kernel(lib) -> _Kernel:
         lib.chaospip_hist(values.ctypes.data, len(values), counts.ctypes.data)
         return counts
 
-    return _Kernel("native", bytes_, bins, mask, hist)
+    def moments(a, b):
+        out = np.empty(5)
+        lib.chaospip_moments(a.ctypes.data, b.ctypes.data, len(a), out.ctypes.data)
+        return tuple(out.tolist())
+
+    return _Kernel("native", bytes_, bins, mask, hist, moments)
 
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -437,7 +530,8 @@ def _load_library():
     for name, argtypes, restype in [("chaospip_bytes", [f64, f64, i64, i64, ptr], f64),
                                     ("chaospip_bins", [f64, f64, i64, i64, ptr], f64),
                                     ("chaospip_mask", [ptr, ptr, i64, i64, i64, ptr], None),
-                                    ("chaospip_hist", [ptr, i64, ptr], None)]:
+                                    ("chaospip_hist", [ptr, i64, ptr], None),
+                                    ("chaospip_moments", [ptr, ptr, i64, ptr], None)]:
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
     return lib
@@ -445,13 +539,16 @@ def _load_library():
 
 def _agrees(kernel: _Kernel) -> bool:
     """Whether `kernel` reproduces the oracle on a short probe orbit, its
-    mask on overlapping windows, windows with gaps and partial tails, and
-    its histogram of 999 bytes, three past the last group of four.
+    mask on overlapping windows, windows with gaps and partial tails, its
+    histogram of 999 bytes, three past the last group of four, and its
+    moments of those bytes and of 7, bit for bit.
 
     This catches a compiler that fuses or widens float operations in spite
     of the flags, which would change every keystream after a few iterates,
-    a mask that reads blocks in the wrong byte order and a histogram that
-    drops the tail.
+    a mask that reads blocks in the wrong byte order, a histogram that
+    drops the tail and moments summed in another order than numpy's: the
+    tree splits 999 terms down to parts of 64 to 128, one of them 71, a
+    block of 64 and a tail of 7.
     """
     x, mu, count, bins = 0.4, 3.99, 1000, 97
     # (frame_bytes, stride, n): overlap with a tail, a gap with a tail, no tail.
@@ -463,7 +560,8 @@ def _agrees(kernel: _Kernel) -> bool:
         key = np.frombuffer(keys, dtype=np.uint8)
         masks = [k.mask(key[:stride * (n - 1) + size], key[::-1][:size * n].copy(), size, stride)
                  for size, stride, n in geometries]
-        return keys, counts.tolist(), end, masks, k.hist(key[1:]).tolist()
+        moments = [[v.hex() for v in k.moments(key[1:n], key[1:n][::-1].copy())] for n in (8, 1000)]
+        return keys, counts.tolist(), end, masks, k.hist(key[1:]).tolist(), moments
 
     return probe(kernel) == probe(_PYTHON)
 

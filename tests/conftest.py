@@ -8,7 +8,8 @@ from synthimg import standard_test_frames
 
 def pytest_report_header(config):
     """Name the kernel the suite runs on, which depends on the host's compiler,
-    and numpy's version, whose summation order corr2d's results follow."""
+    and numpy's version: both kernels' moments operation, which corr2d sums
+    with, reproduce that version's pairwise summation order."""
     return f"chaospip kernel: {keystream.BACKEND}, numpy {np.__version__}"
 
 

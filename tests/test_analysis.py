@@ -22,7 +22,7 @@ from chaospip import (
     keystream_histogram,
     shannon_entropy,
 )
-from chaospip import analysis
+from chaospip import analysis, keystream
 
 from synthimg import synthetic_gray, synthetic_rgb
 
@@ -175,7 +175,7 @@ def _outcome(fn, a, b):
         return type(exc)
 
 
-_LEAF = analysis._LEAF
+_LEAF = keystream._LEAF
 _LENGTHS = [1, 7, 129, _LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 5]
 _DTYPES = [np.uint8, np.int64, np.float32, np.float64]
 _LAYOUTS = ["C", "F", "reversed", "stepped"]
@@ -244,6 +244,19 @@ def test_corr2d_with_different_layouts_agrees_within_1e12(operands, layout_a, la
         assert float.fromhex(got) == pytest.approx(float.fromhex(want), rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("n", [7, 129, 3 * _LEAF + 5])
+@pytest.mark.parametrize("other", [np.int64, np.float64])
+@pytest.mark.parametrize("uint8_first", [True, False])
+def test_corr2d_of_mixed_dtypes_matches_oracle_bit_for_bit(n, other, uint8_first):
+    """A byte plane against a wider one is summed as the oracle sums it:
+    read as bytes, the wider plane would give another result."""
+    rng = np.random.default_rng(n)
+    plane = rng.integers(0, 256, n, dtype=np.uint8)
+    wide = (plane * 0.5 + rng.standard_normal(n) * 40.0).astype(other)
+    a, b = (plane, wide) if uint8_first else (wide, plane)
+    assert _outcome(corr2d, a, b) == _outcome(_corr2d_oracle, a, b)
+
+
 @pytest.mark.parametrize("a, b", [
     (b"", b""),
     (np.zeros((0, 3)), np.zeros((0, 3))),
@@ -263,10 +276,11 @@ def test_corr2d_raises_what_the_oracle_raises(a, b):
 def test_numpy_sums_in_the_order_corr2d_reproduces(n):
     """numpy's pairwise split is what keeps corr2d's report bits unchanged."""
     x = np.random.default_rng(n).standard_normal(n) * np.logspace(0, 12, n)
-    (tree,) = analysis._tree_sums(0, n, lambda lo, hi: (np.add.reduce(x[lo:hi]),))
+    (tree,) = keystream._tree_sums(0, n, lambda lo, hi: (np.add.reduce(x[lo:hi]),))
     assert float(np.add.reduce(x)) == tree, (
         f"numpy {np.__version__} no longer sums {n} float64 values in the pairwise order "
-        "that analysis.corr2d reproduces leaf by leaf; corr2d's results would drift")
+        "that both kernels' moments reproduce, the oracle leaf by leaf and the native one "
+        "in C; corr2d's results would drift")
     # The data is order-sensitive, so the equality above pins the order.
     assert float(np.add.reduce(x[::-1])) != tree or math.fsum(x) != tree
 

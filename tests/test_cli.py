@@ -22,7 +22,7 @@ from chaospip import (
     read_pnm,
     write_pnm,
 )
-from chaospip import analysis, cli
+from chaospip import analysis, cli, keystream
 from chaospip.cli import run
 
 from synthimg import synthetic_gray, synthetic_rgb
@@ -298,9 +298,17 @@ def test_analyze_rejects_mismatched_images(tmp_path, capsys):
 GOLDEN_REPORT_SHA256 = "10a56a0cbe02ea24d7f354c476a21901b01c2588d824ff4f15304ba1205569d2"
 
 
-def test_analyze_report_bytes_are_pinned(tmp_path):
+@pytest.mark.parametrize("kernel", [
+    pytest.param("native", marks=pytest.mark.skipif(keystream.BACKEND != "native",
+                                                     reason="native kernel not in use")),
+    "python",
+])
+def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, kernel):
+    # The oracle's report is checked on every host, not only on one without cc.
+    if kernel == "python":
+        monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
     frame = synthetic_rgb(640, 480, 7.4, seed=5)
-    assert frame.width * frame.height >= 4 * analysis._LEAF
+    assert frame.width * frame.height >= 4 * keystream._LEAF
     plain_path = tmp_path / "plain.ppm"
     plain_path.write_bytes(write_pnm(frame))
     container = tmp_path / "c.cpip"

@@ -111,6 +111,9 @@ class CountingLib:
     def chaospip_hist(self, data, n, counts):
         self.calls.append((n,))
 
+    def chaospip_moments(self, a, b, n, out):
+        self.calls.append(("moments", n))
+
 
 @pytest.fixture
 def counting_lib(monkeypatch) -> CountingLib:
@@ -183,6 +186,21 @@ def test_histogram_hands_c_contiguous_bytes_only(counting_lib):
     assert counting_lib.calls == [(12,)]
 
 
+def test_moments_hand_c_equal_byte_pairs_only(counting_lib):
+    # C reads n bytes from the start of each buffer. Any other pair, mixed
+    # dtypes included, runs on the oracle.
+    ramp = np.arange(24, dtype=np.uint8)
+    for a, b in [(ramp, ramp[:-1]), (ramp[:0], ramp[:0]), (ramp.reshape(4, 6),) * 2]:
+        with pytest.raises(ValueError):
+            keystream._moments(a, b)
+    for other in (ramp.astype(np.int64), ramp.astype(np.float64)):
+        assert keystream._moments(ramp, other) == keystream._py_moments(ramp, other)
+        assert keystream._moments(other, ramp) == keystream._py_moments(other, ramp)
+    assert counting_lib.calls == []
+    keystream._moments(ramp[::2], ramp[1::2])
+    assert counting_lib.calls == [("moments", 12)]
+
+
 def untransposed(key, data, frame_bytes, stride):
     n = len(data) // frame_bytes
     windows = np.stack([key[stride * i:stride * i + frame_bytes] for i in range(n)])
@@ -204,6 +222,39 @@ def test_probe_rejects_a_histogram_without_its_tail():
         return keystream._py_hist(values[:len(values) - len(values) % 4])
 
     assert not keystream._agrees(keystream._PYTHON._replace(hist=tailless))
+
+
+def test_probe_rejects_moments_summed_in_another_order():
+    def sequential(a, b):
+        sa, sb = float(a.sum()), float(b.sum())
+        x, y = a - sa / len(a), b - sb / len(b)
+        return sa, sb, *(float(np.cumsum(p)[-1]) for p in (x * x, y * y, x * y))
+
+    assert not keystream._agrees(keystream._PYTHON._replace(moments=sequential))
+
+
+# Every path of numpy's pairwise sum: fewer than 8 terms, one block of 8 to
+# 128 with and without a tail, one split, and splits down from past a leaf
+# of the oracle.
+MOMENT_LENGTHS = st.one_of(st.integers(1, 9), st.integers(120, 136), st.integers(248, 264),
+                           st.just(3 * keystream._LEAF + 5))
+
+
+@native_only
+@settings(max_examples=200, deadline=None)
+@given(n=MOMENT_LENGTHS, spread_a=st.sampled_from([1, 2, 16, 256]),
+       spread_b=st.sampled_from([1, 3, 256]), seed_=st.integers(0, 2**32 - 1))
+@example(n=1, spread_a=1, spread_b=1, seed_=0)
+@example(n=136, spread_a=1, spread_b=256, seed_=1)
+@example(n=3 * keystream._LEAF + 5, spread_a=256, spread_b=1, seed_=2)
+def test_native_moments_match_oracle(n, spread_a, spread_b, seed_):
+    # A spread of 1 makes a constant plane, whose deviations are all zero.
+    rng = np.random.default_rng(seed_)
+    a, b = (rng.integers(0, 257 - spread, dtype=np.uint8)
+            + rng.integers(0, spread, n, dtype=np.uint8) for spread in (spread_a, spread_b))
+    got = keystream._loaded().moments(a, b)
+    want = keystream._PYTHON.moments(a, b)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @settings(max_examples=300, deadline=None)
