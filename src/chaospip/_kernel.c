@@ -8,10 +8,15 @@
  * never with -ffast-math or reassociation. Two more of the kernel's five
  * operations are integer-only: the cipher's transpose-and-XOR, whose
  * oracle is keystream._py_mask, and a byte histogram, whose oracle is
- * np.bincount. The fifth, the sums and centred second moments of two
- * byte planes for analysis.corr2d, follows numpy's pairwise summation
- * order with every difference and product rounded once, so it needs the
- * same flags as the map; its oracle is keystream._py_moments.
+ * np.bincount. The transpose-and-XOR reads key blocks as little-endian
+ * words, in which the cipher's transpose is a flip about the anti-diagonal,
+ * and works two blocks per step in GCC's 16-byte vector lanes (SSE2 on
+ * x86-64, with no extra flag); a big-endian host swaps at load and store,
+ * and an unknown byte order fails the build. The fifth, the sums and
+ * centred second moments of two byte planes for analysis.corr2d, follows
+ * numpy's pairwise summation order with every difference and product
+ * rounded once, so it needs the same flags as the map; its oracle is
+ * keystream._py_moments.
  *
  * Callers guarantee x in [0, 1], mu in [0, 4] and 0 <= count < 2**63:
  * keystream.KeystreamState holds no other state, and the Python callers
@@ -47,11 +52,15 @@ double chaospip_bins(double x, double mu, int64_t count, int64_t bins, int64_t *
     return x;
 }
 
-/* Converts between native and big-endian order, both ways. */
+/* Converts between native and little-endian order, both ways, for one word
+ * and for each lane of a pair. */
+typedef uint64_t u64x2 __attribute__((vector_size(16)));
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-#define BE64(v) __builtin_bswap64(v)
+#define LE64(v) (v)
+#define LE64X2(v) (v)
 #elif defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-#define BE64(v) (v)
+#define LE64(v) __builtin_bswap64(v)
+#define LE64X2(v) ((u64x2){__builtin_bswap64((v)[0]), __builtin_bswap64((v)[1])})
 #else
 #error "unknown byte order"
 #endif
@@ -63,10 +72,26 @@ static uint64_t load64(const uint8_t *p)
     return v;
 }
 
+/* The cipher's T of a block held as a little-endian word x (a uint64_t or
+ * each lane of a u64x2), t a scratch of the same type. Pixel i is byte i
+ * from the low end and bit j of a pixel (j = 0 the most significant) sits
+ * at 8 * i + 7 - j, so the transpose (i, j) -> (j, i) moves the bit at
+ * 8 * r + c to 8 * (7 - c) + (7 - r): the flip about the anti-diagonal,
+ * three masked swaps of 4x4, 2x2 and 1x1 sub-blocks (Hacker's Delight,
+ * 2nd ed., section 7-3). */
+#define FLIP(x, t) do { \
+        t = (x) ^ ((x) << 36); \
+        (x) ^= 0xF0F0F0F00F0F0F0Full & (t ^ ((x) >> 36)); \
+        t = 0xCCCC0000CCCC0000ull & ((x) ^ ((x) << 18)); \
+        (x) ^= t ^ (t >> 18); \
+        t = 0xAA00AA00AA00AA00ull & ((x) ^ ((x) << 9)); \
+        (x) ^= t ^ (t >> 9); \
+    } while (0)
+
 /* Frame i of n (frame_bytes bytes at data + frame_bytes * i) XOR-ed with the
  * key window at key + stride * i: each full 8-byte block from the frame's
- * start with the window's block bit-transposed (read big-endian, as the
- * oracle reads it), a final partial block with the window as is.
+ * start with the window's block bit-transposed, two blocks per step and an
+ * odd one alone, a final partial block with the window as is.
  * The caller sizes key to stride * (n - 1) + frame_bytes and out to
  * n * frame_bytes. */
 void chaospip_mask(const uint8_t *key, const uint8_t *data, int64_t n, int64_t frame_bytes,
@@ -77,16 +102,21 @@ void chaospip_mask(const uint8_t *key, const uint8_t *data, int64_t n, int64_t f
         const uint8_t *k = key + stride * i, *p = data + frame_bytes * i;
         uint8_t *c = out + frame_bytes * i;
         int64_t j = 0;
-        for (; j < full; j += 8) {
-            uint64_t x = BE64(load64(k + j)), t;
-            t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
-            x ^= t ^ (t << 7);
-            t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
-            x ^= t ^ (t << 14);
-            t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
-            x ^= t ^ (t << 28);
-            x = load64(p + j) ^ BE64(x);
+        for (; j + 16 <= full; j += 16) {
+            u64x2 x, d, t;
+            memcpy(&x, k + j, 16);
+            memcpy(&d, p + j, 16);
+            x = LE64X2(x);
+            FLIP(x, t);
+            x = d ^ LE64X2(x);
+            memcpy(c + j, &x, 16);
+        }
+        if (j < full) {
+            uint64_t x = LE64(load64(k + j)), t;
+            FLIP(x, t);
+            x = load64(p + j) ^ LE64(x);
             memcpy(c + j, &x, 8);
+            j += 8;
         }
         for (; j < frame_bytes; j++)
             c[j] = p[j] ^ k[j];

@@ -125,6 +125,7 @@ def transform_plane(
     positive. By default `data` is one frame, and `stride` is
     `frame_bytes`, which keys frames back to back as one keystream.
     """
+    data = memoryview(data).cast("B")  # lengths count bytes, whatever the item format
     frame_bytes = len(data) if frame_bytes is None else frame_bytes
     stride = frame_bytes if stride is None else stride
     if not data:

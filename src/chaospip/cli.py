@@ -17,7 +17,7 @@ from pathlib import Path
 from . import analysis
 from .cipher import Frame, ReseedMode, process_stream
 from .errors import FixedPointError, FormatError, ParseError, RangeError
-from .io import MAGIC, container_mode_for, read_container, read_pnm, read_raw, write_container, write_pnm
+from .io import MAGIC, _container_parts, container_mode_for, read_container, read_pnm, read_raw, write_pnm
 from .keystream import DEFAULT_BURN_IN, KeyMaterial, derive_key_from_hex, derive_key_from_params
 
 EXIT_OK = 0
@@ -142,7 +142,9 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     encrypted = process_stream(_load_input_frames(args), key, reseed)
     mode = container_mode_for(encrypted[0].channels, video=len(encrypted) > 1)
     out = Path(args.out)
-    out.write_bytes(write_container(encrypted, mode, reseed))
+    parts = _container_parts(encrypted, mode, reseed)
+    with out.open("wb") as file:  # the frames' own bytes, with no container-sized join
+        file.writelines(parts)
     if args.as_pnm:
         for i, f in enumerate(encrypted):
             suffix = ".pgm" if f.channels == 1 else ".ppm"
@@ -167,7 +169,8 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
             for i, f in enumerate(decrypted):
                 (out / f"frame-{i:06d}{suffix}").write_bytes(write_pnm(f))
     else:
-        out.write_bytes(b"".join(f.data for f in decrypted))
+        with out.open("wb") as file:
+            file.writelines(f.data for f in decrypted)
     print(f"decrypted {len(decrypted)} frame(s) -> {out}", file=sys.stderr)
     return EXIT_OK
 

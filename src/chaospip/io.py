@@ -30,6 +30,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Iterable
 
+import ctypes
 import re
 import struct
 
@@ -37,6 +38,7 @@ import numpy as np
 
 from .cipher import Frame, ReseedMode, _check_same_shape
 from .errors import FormatError
+from .keystream import _new_bytes
 
 MAGIC = b"CPIP"
 VERSION = 1
@@ -65,6 +67,14 @@ class ContainerMode(IntEnum):
     @property
     def is_video(self) -> bool:
         return self in (ContainerMode.GRAY_VIDEO, ContainerMode.RGB_VIDEO)
+
+
+def _new_array(size: int) -> tuple[bytes, np.ndarray]:
+    """A new bytes object of `size` bytes and a writable uint8 array over its
+    data, which the caller fills before handing the bytes out (see
+    `keystream._new_bytes`)."""
+    out, address = _new_bytes(size)
+    return out, np.frombuffer((ctypes.c_char * size).from_address(address), dtype=np.uint8)
 
 
 def container_mode_for(channels: int, video: bool) -> ContainerMode:
@@ -101,9 +111,10 @@ def read_pnm(data: bytes) -> Frame:
         raise FormatError(f"truncated payload: {len(payload)} bytes, expected {expected}")
     if len(payload) > expected:
         raise FormatError(f"trailing data after payload: {len(payload) - expected} bytes")
-    if channels == 3:
-        interleaved = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-        payload = interleaved.transpose(2, 0, 1).tobytes()
+    if channels == 3:  # de-interleaved straight into the Frame's bytes
+        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+        payload, planes = _new_array(expected)
+        planes.reshape(3, -1)[...] = pixels.T
     return Frame(width, height, channels, payload)
 
 
@@ -113,23 +124,29 @@ def write_pnm(frame: Frame) -> bytes:
     header = f"{magic}\n{frame.width} {frame.height}\n255\n".encode("ascii")
     if frame.channels == 1:
         return header + frame.data
-    # One channel at a time into a buffer that already holds the header.
-    # header + planar.transpose(1, 2, 0).tobytes() copies with a 3-element
-    # inner loop, then copies again to prepend the header: 1080p frames took
-    # 27 ms each that way against 9 ms this way (medians of 30 calls in a
-    # loop, 2-core Xeon, numpy 2.4.6).
-    out = np.empty(len(header) + len(frame.data), dtype=np.uint8)
-    out[:len(header)] = np.frombuffer(header, dtype=np.uint8)
-    pixels = out[len(header):].reshape(-1, 3)
+    # One channel at a time into the output bytes, which already hold the
+    # header. header + planar.transpose(1, 2, 0).tobytes() copies with a
+    # 3-element inner loop, then copies again to prepend the header: 1080p
+    # frames took 27 ms each that way against 9 ms one channel at a time
+    # (medians of 30 calls in a loop, 2-core Xeon, numpy 2.4.6).
+    out, buffer = _new_array(len(header) + len(frame.data))
+    buffer[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    pixels = buffer[len(header):].reshape(-1, 3)
     for c, plane in enumerate(np.frombuffer(frame.data, dtype=np.uint8).reshape(3, -1)):
         pixels[:, c] = plane
-    return out.tobytes()
+    return out
 
 
 def write_container(
     frames: Iterable[Frame], mode: ContainerMode, reseed: ReseedMode
 ) -> bytes:
     """Serialize encrypted frames with the bit-exact 20-byte header."""
+    return b"".join(_container_parts(frames, mode, reseed))
+
+
+def _container_parts(frames: Iterable[Frame], mode: ContainerMode, reseed: ReseedMode) -> list:
+    """The container of `write_container` as its header and each frame's
+    data, checked whole before the first part is returned."""
     mode, reseed = ContainerMode(mode), ReseedMode(reseed)
     frames = list(frames)
     if not frames:
@@ -144,7 +161,7 @@ def write_container(
     header = _HEADER.pack(
         MAGIC, VERSION, int(mode), reseed_byte, 0, first.width, first.height, len(frames)
     )
-    return b"".join([header, *(f.data for f in frames)])
+    return [header, *(f.data for f in frames)]
 
 
 def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]:
@@ -179,6 +196,8 @@ def read_raw(data: bytes | memoryview, width: int, height: int, channels: int) -
         raise FormatError(f"bad raw geometry {width}x{height}x{channels}")
     frame_bytes = width * height * channels
     view = memoryview(data)
+    # Lengths count bytes, whatever the item format; a strided view is copied first.
+    view = (view if view.c_contiguous else memoryview(view.tobytes())).cast("B")
     if not view or len(view) % frame_bytes:
         raise FormatError(f"raw data holds {len(view)} bytes, not a positive multiple of {frame_bytes}")
     return [Frame(width, height, channels, view[i : i + frame_bytes])

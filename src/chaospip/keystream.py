@@ -30,7 +30,9 @@ bytes with `np.bincount` and sums moments with numpy, one L2-sized leaf
 of its pairwise tree at a time (`_py_moments`). It is the oracle. The
 native one, `_kernel.c`, is compiled on first use with `cc -O2
 -ffp-contract=off -shared -fPIC` into a per-user cache directory and
-loaded through ctypes. It must match the oracle bit for bit, so the
+loaded through ctypes. Its key bytes and masks are written straight into
+new bytes objects (`_new_bytes`), so a frame-sized result is never copied
+out of a numpy buffer. It must match the oracle bit for bit, so the
 compiler may not change a single rounding: `-ffp-contract=off` forbids
 fused multiply-adds, which round once where Python rounds twice, and
 `-ffast-math`, `-march=native` and any other flag that lets the compiler
@@ -425,16 +427,39 @@ class _Kernel(NamedTuple):
 _PYTHON = _Kernel("python", _py_bytes, _py_bins, _py_mask, _py_hist, _py_moments)
 
 
-def _native_kernel(lib) -> _Kernel:
-    """The C functions of `lib` behind the `_Kernel` interface."""
+@functools.cache
+def _bytes_api():
+    """CPython's PyBytes_FromStringAndSize and PyBytes_AsString, as private
+    ctypes functions (`pythonapi[name]` makes a new one, so no other user's
+    argtypes are touched)."""
     import ctypes
 
+    make, data = ctypes.pythonapi["PyBytes_FromStringAndSize"], ctypes.pythonapi["PyBytes_AsString"]
+    make.argtypes, make.restype = [ctypes.c_void_p, ctypes.c_ssize_t], ctypes.py_object
+    data.argtypes, data.restype = [ctypes.py_object], ctypes.c_void_p
+    return make, data
+
+
+def _new_bytes(size: int) -> tuple[bytes, int]:
+    """A new bytes object of `size` bytes, not yet filled, and the address of its data.
+
+    CPython lets the creator of PyBytes_FromStringAndSize(NULL, size) write
+    its data until the object is shared, so a frame-sized result is built
+    once in its final bytes, with no buffer to copy it out of. The caller
+    fills all `size` bytes before any other code sees the object, and never
+    writes to it after.
+    """
+    make, data = _bytes_api()
+    out = make(None, size)
+    return out, data(out)
+
+
+def _native_kernel(lib) -> _Kernel:
+    """The C functions of `lib` behind the `_Kernel` interface."""
+
     def bytes_(x, mu, low, count):
-        # numpy allocates, as in the oracle: a bytearray or create_string_buffer
-        # changed glibc's heap reuse and slowed repeated 1080p calls by 8-40%.
-        out = np.empty(count, dtype=np.uint8)
-        x = lib.chaospip_bytes(x, mu, low, count, (ctypes.c_char * count).from_buffer(out))
-        return out.tobytes(), x
+        out, address = _new_bytes(count)
+        return out, lib.chaospip_bytes(x, mu, low, count, address)
 
     def bins(x, mu, count, bins):
         if bins < 1:  # C writes counts[bins - 1]
@@ -444,10 +469,10 @@ def _native_kernel(lib) -> _Kernel:
         return counts, x
 
     def mask(key, data, frame_bytes, stride):
-        out = np.empty(len(data), dtype=np.uint8)  # as in bytes_
+        out, address = _new_bytes(len(data))
         lib.chaospip_mask(key.ctypes.data, data.ctypes.data, len(data) // frame_bytes, frame_bytes,
-                          stride, out.ctypes.data)
-        return out.tobytes()
+                          stride, address)
+        return out
 
     def hist(values):
         counts = np.zeros(256, dtype=np.int64)
@@ -545,14 +570,16 @@ def _agrees(kernel: _Kernel) -> bool:
 
     This catches a compiler that fuses or widens float operations in spite
     of the flags, which would change every keystream after a few iterates,
-    a mask that reads blocks in the wrong byte order, a histogram that
+    a mask that reads blocks in the wrong byte order or gets a two-block
+    step, the one-block step after it or the tail wrong, a histogram that
     drops the tail and moments summed in another order than numpy's: the
     tree splits 999 terms down to parts of 64 to 128, one of them 71, a
     block of 64 and a tail of 7.
     """
     x, mu, count, bins = 0.4, 3.99, 1000, 97
-    # (frame_bytes, stride, n): overlap with a tail, a gap with a tail, no tail.
-    geometries = [(21, 17, 5), (13, 20, 4), (24, 24, 3)]
+    # (frame_bytes, stride, n): overlap with a tail, a gap with a tail, no tail,
+    # and overlap with two two-block steps, a one-block step and a tail.
+    geometries = [(21, 17, 5), (13, 20, 4), (24, 24, 3), (43, 37, 3)]
 
     def probe(k: _Kernel):
         counts, end = k.bins(x, mu, count, bins)

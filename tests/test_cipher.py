@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -315,9 +316,11 @@ def test_batched_plane_state_lands_where_the_next_frame_starts():
 @pytest.mark.parametrize("frame_bytes,stride", [(None, None), (21, 17), (105, 200)])
 def test_plane_reads_any_contiguous_byte_buffer(frame_bytes, stride):
     # One frame, overlapping windows and windows with gaps, all with tails.
-    data = bytes(range(256)) * 2 + bytes(13)  # 525 bytes
+    data = bytes(range(210)) * 2  # 420 bytes
     want = transform_plane(data, seed(KEY), frame_bytes, stride)
-    for buffer in (bytearray(data), memoryview(data), memoryview(bytearray(data))):
+    # Lengths count bytes, also in buffers of 105 four-byte items or 20 rows.
+    for buffer in (bytearray(data), memoryview(data), memoryview(bytearray(data)),
+                   array("I", data), memoryview(data).cast("B", (20, 21))):
         got = transform_plane(buffer, seed(KEY), frame_bytes, stride)
         assert type(got[0]) is bytes
         assert got == want

@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from chaospip import (
     write_container,
     write_pnm,
 )
-from chaospip.io import HEADER_SIZE
+from chaospip.io import HEADER_SIZE, read_raw
 
 
 # ---------------------------------------------------------------- PNM
@@ -121,6 +123,19 @@ def test_container_round_trip_rgb_image():
     assert got_frames == [frame]
     assert mode is ContainerMode.RGB_IMAGE
     assert reseed is ReseedMode.CONTINUOUS
+
+
+def test_read_raw_counts_bytes_whatever_the_item_format():
+    # 8 four-byte items are 32 bytes: two 4x4 gray frames, however viewed.
+    words = array("I", range(8))
+    want = [words.tobytes()[:16], words.tobytes()[16:]]
+    spread = bytearray(64)
+    spread[::2] = words.tobytes()
+    for buffer in (words, memoryview(words), memoryview(words.tobytes()).cast("B", (4, 8)),
+                   memoryview(spread)[::2]):
+        assert [f.data for f in read_raw(buffer, 4, 4, 1)] == want
+    with pytest.raises(FormatError):
+        read_raw(memoryview(array("I", range(5))), 4, 4, 1)  # 20 bytes
 
 
 @pytest.mark.parametrize("reseed", list(ReseedMode))

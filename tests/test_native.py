@@ -19,7 +19,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaospip import forward_permute, keystream, process_block, write_pnm
+from chaospip import (
+    Frame,
+    forward_permute,
+    keystream,
+    process_block,
+    read_pnm,
+    transform_plane,
+    write_pnm,
+)
 from chaospip.analysis import histogram256, keystream_histogram
 from chaospip.cli import run
 from chaospip.errors import RangeError
@@ -211,7 +219,18 @@ def back_to_back(key, data, frame_bytes, stride):
     return keystream._py_mask(np.resize(key, len(data)), data, frame_bytes, frame_bytes)
 
 
-@pytest.mark.parametrize("mask", [untransposed, back_to_back])
+def odd_block_untransposed(key, data, frame_bytes, stride):
+    # What a two-block loop without its one-block step leaves to the byte tail.
+    n, full = len(data) // frame_bytes, frame_bytes - frame_bytes % 8
+    odd = slice(full - full % 16, full)
+    out = np.frombuffer(keystream._py_mask(key, data, frame_bytes, stride), dtype=np.uint8)
+    out = out.reshape(n, frame_bytes).copy()
+    for i in range(n):
+        out[i, odd] = data[frame_bytes * i:][odd] ^ key[stride * i:][odd]
+    return out.tobytes()
+
+
+@pytest.mark.parametrize("mask", [untransposed, back_to_back, odd_block_untransposed])
 def test_probe_rejects_a_wrong_mask(mask):
     assert keystream._agrees(keystream._PYTHON)
     assert not keystream._agrees(keystream._PYTHON._replace(mask=mask))
@@ -294,6 +313,39 @@ def test_native_mask_matches_oracle(frame_bytes, stride, n, seed_):
                               np.frombuffer(data, dtype=np.uint8), frame_bytes, stride)
     assert type(got) is bytes
     assert got == want
+
+
+@pytest.mark.parametrize("name", ["take_bytes", "transform_plane", "read_pnm", "write_pnm"])
+def test_results_are_new_bytes_that_later_calls_leave_alone(monkeypatch, name):
+    # Frame-sized results are written in place into new bytes objects. Each
+    # equals the oracle's, is handed out once and is never written again.
+    rng = np.random.default_rng(15)
+    start = seed(KeyMaterial(mu=3.934, x0=0.525, burn_in=10))
+
+    def pixels(n):
+        return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+
+    cases = {
+        "take_bytes": (lambda i, n: take_bytes(skip(start, i), n)[0],
+                       [(i, n) for i, n in enumerate([1, 1, 925, 925, 2775])]),
+        "transform_plane": (lambda data: transform_plane(data, start, 43, 37)[0],
+                            [(pixels(43),), (pixels(129),), (pixels(129),)]),
+        "read_pnm": (lambda blob: read_pnm(blob).data,
+                     [(b"P6\n37 25\n255\n" + pixels(2775),), (b"P6\n37 25\n255\n" + pixels(2775),),
+                      (b"P6\n1 1\n255\n" + pixels(3),)]),
+        "write_pnm": (write_pnm, [(Frame(37, 25, 3, pixels(2775)),), (Frame(37, 25, 3, pixels(2775)),),
+                                  (Frame(1, 1, 3, pixels(3)),)]),
+    }
+    fn, inputs = cases[name]
+    results = []
+    for args in inputs:
+        got, want = both(monkeypatch, fn, *args)
+        assert type(got) is bytes and type(want) is bytes
+        assert got == want
+        results.append((got, bytes(bytearray(got))))
+    assert len({id(got) for got, _ in results}) == len(results)
+    for got, snapshot in results:
+        assert got == snapshot
 
 
 def test_block_api_runs_one_mask_call(counting_lib):
