@@ -15,8 +15,10 @@
  * and an unknown byte order fails the build. The fifth, the sums and
  * centred second moments of two byte planes for analysis.corr2d, follows
  * numpy's pairwise summation order with every difference and product
- * rounded once, so it needs the same flags as the map; its oracle is
- * keystream._py_moments.
+ * rounded once, so it needs the same flags as the map. Its oracle,
+ * keystream._py_moments, is numpy's own sum of float64 copies, and this
+ * file's pairwise() is the only copy of numpy's split: a numpy release
+ * that sums in another order makes the load probe fall back to the oracle.
  *
  * Callers guarantee x in [0, 1], mu in [0, 4] and 0 <= count < 2**63:
  * keystream.KeystreamState holds no other state, and the Python callers
@@ -206,12 +208,13 @@ static void pairwise(const uint8_t *a, const uint8_t *b, int64_t n, const double
     s[2] = xy;
 }
 
-/* out = {sa, sb, sxx, syy, sxy} of the n bytes of a and of b, 1 <= n < 2**45
- * so that every sum below is exact in binary64: the sums sa and sb, the means ma = sa / n and mb = sb / n, then the pairwise
- * sums of (a_i - ma)^2, (b_i - mb)^2 and (a_i - ma)(b_i - mb), each
- * difference and product rounded once, plus 0.0. That is bit for bit what
- * numpy's add.reduce gives on the float64 arrays of those terms, which
- * starts from its identity 0.0 (turning a sum of -0.0 into 0.0). */
+/* out = {sa, sb, sxx, syy, sxy} of the n bytes of a and of b, with
+ * 1 <= n < 2**45 so that every sum below is exact in binary64: the sums sa
+ * and sb, the means ma = sa / n and mb = sb / n, then the pairwise sums of
+ * (a_i - ma)^2, (b_i - mb)^2 and (a_i - ma)(b_i - mb), each difference and
+ * product rounded once, plus 0.0. That is bit for bit what numpy's
+ * add.reduce gives on the float64 arrays of those terms, which starts from
+ * its identity 0.0 (turning a sum of -0.0 into 0.0). */
 void chaospip_moments(const uint8_t *a, const uint8_t *b, int64_t n, double *out)
 {
     /* Blocks whose sums fit 32 bits, with a constant trip count, are what

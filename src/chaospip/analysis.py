@@ -63,13 +63,13 @@ def corr2d(a, b) -> float:
     planes to float64 with `astype`, centring each on its `mean()` and
     taking `sum()` of the three products gives, as long as both planes
     have the same memory order. Elements are read in the order of `a`'s
-    float64 copy (axes by decreasing stride), and every sum follows
-    numpy's pairwise tree over that order (`keystream._moments`), so no
-    plane-sized float64 temporary is made. Two uint8 planes are summed by
-    the kernel's moments operation; any other pair, mixed dtypes
-    included, by its numpy oracle, one L2-sized leaf at a time. If `b` is
-    laid out differently, its sums take `a`'s order and may differ from
-    that reference in the last bits.
+    float64 copy (axes by decreasing stride; `keystream._moments`). Two
+    uint8 planes are summed by the kernel's moments operation, which
+    follows numpy's pairwise tree over that order with no plane-sized
+    float64 temporary. Any other pair, mixed dtypes included, goes to its
+    oracle, which is the reference itself on flat float64 copies. If `b`
+    is laid out differently, its sums take `a`'s order and may differ
+    from that reference in the last bits.
     """
     a = _as_array(a)
     b = _as_array(b)

@@ -26,6 +26,7 @@ makes one `transform_plane` call per batch.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -71,8 +72,12 @@ class Frame:
             raise ValueError(f"frame dimensions must be positive, got {self.width}x{self.height}")
         if self.channels not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {self.channels!r}")
+        try:  # numpy integers pass; 8.0 would reach a PNM header as "8.0"
+            expected = operator.index(self.width * self.height * self.channels)
+        except TypeError:
+            raise ValueError(f"frame dimensions must be integers, got {self.width!r}x"
+                             f"{self.height!r}x{self.channels!r}") from None
         object.__setattr__(self, "data", bytes(self.data))
-        expected = self.width * self.height * self.channels
         if len(self.data) != expected:
             raise ValueError(f"data holds {len(self.data)} bytes, expected {expected}")
 

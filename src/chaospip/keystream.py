@@ -20,14 +20,14 @@ counts into a single bin and keeps only the last state. The next two are
 integer-only. `_mask` XORs frames with bit-transposed windows of a drawn
 keystream, the cipher's block transform, and `_histogram` counts byte
 values for `analysis.histogram256`. The fifth, `_moments`, gives
-`analysis.corr2d` the sums and centred second moments of two byte planes
-in numpy's pairwise summation order. There are two kernels. The
-pure-Python one reads states from `_orbit`, the single Python definition
-of the recurrence, and extracts bytes or bins with numpy, which is exact:
+`analysis.corr2d` the sums and centred second moments of two byte planes,
+bit for bit as numpy sums them. There are two kernels. The pure-Python
+one reads states from `_orbit`, the single Python definition of the
+recurrence, and extracts bytes or bins with numpy, which is exact:
 numpy's binary64 multiply and truncation of positive values match
 Python's. It masks with `_py_transpose8` over strided windows, counts
-bytes with `np.bincount` and sums moments with numpy, one L2-sized leaf
-of its pairwise tree at a time (`_py_moments`). It is the oracle. The
+bytes with `np.bincount` and takes moments as numpy's literal sums of
+float64 copies (`_py_moments`). It is the oracle. The
 native one, `_kernel.c`, is compiled on first use with `cc -O2
 -ffp-contract=off -shared -fPIC` into a per-user cache directory and
 loaded through ctypes. Its key bytes and masks are written straight into
@@ -40,7 +40,9 @@ reassociate or change precision are never used. A short probe against
 the oracle, masks, a byte histogram and moments included, guards each
 load. If the library cannot be built, loaded or agree with the probe,
 the oracle runs instead; `BACKEND` names the kernel in use ("native" or
-"python").
+"python"). The native moments copy numpy's pairwise summation order, so
+a numpy release that changes that order fails the probe, and the oracle,
+numpy itself, runs instead.
 
 The C loops need x in [0, 1], mu in [0, 4] and counts below 2**63, and
 these hold by construction: `KeystreamState` refuses other states, the
@@ -264,8 +266,8 @@ def _moments(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float, float, 
     sa and sb are the sums, ma = sa / n and mb = sb / n the means, and
     sxx, syy and sxy the sums of (a - ma)**2, (b - mb)**2 and
     (a - ma) * (b - mb), all in binary64 and bit for bit what numpy's
-    `sum` gives on float64 copies (see `_py_moments`). A pair of uint8
-    arrays runs on the kernel; any other pair runs on the oracle.
+    `sum` gives on float64 copies: `_py_moments` is that formula. A pair
+    of uint8 arrays runs on the kernel; any other pair runs on the oracle.
     """
     if a.ndim != 1 or a.shape != b.shape or not len(a):
         raise ValueError(f"cannot take moments of arrays shaped {a.shape} and {b.shape}")
@@ -338,68 +340,24 @@ def _py_hist(values: np.ndarray) -> np.ndarray:
     return np.bincount(values, minlength=256).astype(np.int64, copy=False)
 
 
-# Elements per leaf of `_py_moments`' summation tree. Its three float64
-# scratch buffers (768 KiB) stay in a 1 MiB L2. Measured on 1080x1920,
-# 240x320 and 8x16000 uint8 planes, 2**15 and 2**16 ran alike, and 2**14
-# took about 15% longer.
-_LEAF = 1 << 15
-
-
-def _tree_sums(lo: int, hi: int, leaf_sums) -> tuple:
-    """Sums over elements [lo, hi), combined in numpy's pairwise order.
-
-    numpy sums a contiguous float64 array of n > 128 elements as the
-    sum of its first `n // 2 - (n // 2) % 8` elements plus the sum of
-    the rest, recursively, so every part this split yields is summed
-    the same way wherever it starts. `leaf_sums(lo, hi)` sums one part
-    of at most _LEAF elements with numpy itself.
-    """
-    n = hi - lo
-    if n <= _LEAF:
-        return leaf_sums(lo, hi)
-    half = n // 2
-    half -= half % 8
-    left = _tree_sums(lo, lo + half, leaf_sums)
-    right = _tree_sums(lo + half, hi, leaf_sums)
-    return tuple(l + r for l, r in zip(left, right))
-
-
 def _py_moments(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float, float, float]:
     """`_moments` of two equal-length, non-empty 1-D arrays of any dtype.
 
-    Each sum follows numpy's pairwise tree over the whole array (see
-    `_tree_sums`), one L2-sized leaf at a time, so no array-sized float64
-    temporary is made and the result equals `sum()` of the array-sized
-    float64 terms bit for bit.
+    This is the reference `analysis.corr2d` states, literally: numpy's own
+    sums of float64 copies, each centred in place on its mean, and of their
+    products. It holds at most three array-sized float64 arrays at once.
     """
     n = len(a)
-    scratch = np.empty((3, min(n, _LEAF)))
-
-    def sums(lo, hi):
-        x, y = scratch[0, : hi - lo], scratch[1, : hi - lo]
-        x[...] = a[lo:hi]
-        y[...] = b[lo:hi]
-        return np.add.reduce(x), np.add.reduce(y)
-
-    sa, sb = _tree_sums(0, n, sums)
-    ma, mb = sa / n, sb / n  # float64, as ndarray.mean divides
-
-    def moments(lo, hi):
-        # Copy, then centre in place: under numpy 1.x value-based casting,
-        # uint8 data minus a float64 scalar would compute in float16.
-        x, y, p = scratch[:, : hi - lo]
-        x[...] = a[lo:hi]
-        x -= ma
-        y[...] = b[lo:hi]
-        y -= mb
-        np.square(x, out=p)  # the same products as x * x, at about half the cost
-        sxx = np.add.reduce(p)
-        np.square(y, out=p)
-        syy = np.add.reduce(p)
-        np.multiply(x, y, out=p)
-        return sxx, syy, np.add.reduce(p)
-
-    return tuple(float(v) for v in (sa, sb, *_tree_sums(0, n, moments)))
+    # Copy, then centre in place: under numpy 1.x value-based casting,
+    # uint8 data minus a float64 scalar would compute in float16.
+    x, y = a.astype(np.float64), b.astype(np.float64)
+    sa, sb = np.add.reduce(x), np.add.reduce(y)
+    x -= sa / n  # float64, as ndarray.mean divides
+    y -= sb / n
+    sxy = np.add.reduce(x * y)
+    # np.square gives the same products as x * x, with no new array.
+    sxx, syy = np.add.reduce(np.square(x, out=x)), np.add.reduce(np.square(y, out=y))
+    return tuple(float(v) for v in (sa, sb, sxx, syy, sxy))
 
 
 class _Kernel(NamedTuple):
@@ -413,7 +371,8 @@ class _Kernel(NamedTuple):
     counts[256] counts the bytes of a contiguous 1-D uint8 array.
     moments(a, b) -> (sa, sb, sxx, syy, sxy) is `_moments` of two
     contiguous, equal-length, non-empty 1-D uint8 arrays, as Python
-    floats; its oracle is `_py_moments`.
+    floats; its oracle, `_py_moments`, is numpy's own sums, so the load
+    probe checks the native moments against numpy itself.
     """
 
     name: str

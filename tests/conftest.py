@@ -8,8 +8,9 @@ from synthimg import standard_test_frames
 
 def pytest_report_header(config):
     """Name the kernel the suite runs on, which depends on the host's compiler,
-    and numpy's version: both kernels' moments operation, which corr2d sums
-    with, reproduce that version's pairwise summation order."""
+    and numpy's version. corr2d's oracle moments are that numpy's own sums,
+    and the native moments copy its pairwise summation order; a numpy that
+    sums in another order fails the load probe, so the kernel reads python."""
     return f"chaospip kernel: {keystream.BACKEND}, numpy {np.__version__}"
 
 

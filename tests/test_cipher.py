@@ -14,14 +14,17 @@ from chaospip import (
     ReseedMode,
     corr2d,
     decrypt_image,
+    derive_key_from_hex,
     encrypt_image,
     inverse_permute,
     process_block,
     process_stream,
+    read_pnm,
     seed,
     skip,
     take_bytes,
     transform_plane,
+    write_pnm,
 )
 from chaospip import cipher
 from chaospip.cipher import PER_FRAME_STRIDE
@@ -42,6 +45,21 @@ def test_frame_validates_geometry():
         Frame(2, 2, 2, bytes(8))
     with pytest.raises(ValueError):
         Frame(2, 2, 1, bytes(5))
+
+
+@pytest.mark.parametrize("width, height, channels", [(8.0, 2, 1), (8, 2.0, 1), (8, 2, 1.0),
+                                                     (2.5, 2, 1)])
+def test_frame_refuses_dimensions_that_are_not_integers(width, height, channels):
+    # A float width would reach a PNM header as "8.0" and the container
+    # header as a struct.error; ValueError is what the CLI maps to exit 2.
+    with pytest.raises(ValueError, match="integers"):
+        Frame(width, height, channels, bytes(16))
+
+
+def test_frame_accepts_numpy_integer_dimensions():
+    frame = Frame(np.int64(8), np.uint16(2), np.int8(3), bytes(48))
+    assert frame.plane(2) == bytes(16)
+    assert read_pnm(write_pnm(frame)) == Frame(8, 2, 3, bytes(48))
 
 
 def test_frame_planes():
@@ -257,22 +275,40 @@ def assert_frames_match_reference(frames, key, mode):
         assert got.data == reference_transform(frame.data, key.mu, key.x0, key.burn_in + offset)
 
 
+# (mu, x0) of a 256-bit hex key, or drawn straight from the open key intervals.
+KEY_POINTS = st.one_of(
+    st.binary(min_size=32, max_size=32).map(lambda raw: derive_key_from_hex(raw.hex())).map(
+        lambda key: (key.mu, key.x0)),
+    st.tuples(st.floats(3.57, 4.0, exclude_min=True, exclude_max=True),
+              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)).filter(
+        lambda point: point[1] != 1.0 - 1.0 / point[0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(width=st.integers(1, 12), height=st.integers(1, 12), channels=st.sampled_from([1, 3]),
-       count=st.integers(1, 40), mode=st.sampled_from(list(ReseedMode)),
+       count=st.integers(1, 40), mode=st.sampled_from(list(ReseedMode)), point=KEY_POINTS,
        burn_in=st.integers(0, 40), seed_=st.integers(0, 2**32 - 1))
-@example(width=17, height=1, channels=1, count=40, mode=ReseedMode.PER_FRAME, burn_in=3, seed_=0)
-@example(width=3, height=3, channels=1, count=40, mode=ReseedMode.PER_FRAME, burn_in=0, seed_=1)
-@example(width=7, height=5, channels=1, count=23, mode=ReseedMode.CONTINUOUS, burn_in=9, seed_=2)
-@example(width=7, height=5, channels=3, count=31, mode=ReseedMode.PER_FRAME, burn_in=17, seed_=3)
-@example(width=1, height=1, channels=1, count=40, mode=ReseedMode.PER_FRAME, burn_in=1, seed_=4)
-def test_stream_matches_straight_line_reference(width, height, channels, count, mode, burn_in,
-                                                seed_):
+@example(width=17, height=1, channels=1, count=40, mode=ReseedMode.PER_FRAME,
+         point=(3.97, 0.371), burn_in=3, seed_=0)
+@example(width=3, height=3, channels=1, count=40, mode=ReseedMode.PER_FRAME,
+         point=(3.97, 0.371), burn_in=0, seed_=1)
+@example(width=7, height=5, channels=1, count=23, mode=ReseedMode.CONTINUOUS,
+         point=(3.97, 0.371), burn_in=9, seed_=2)
+@example(width=7, height=5, channels=3, count=31, mode=ReseedMode.PER_FRAME,
+         point=(3.97, 0.371), burn_in=17, seed_=3)
+@example(width=1, height=1, channels=1, count=40, mode=ReseedMode.PER_FRAME,
+         point=(3.97, 0.371), burn_in=1, seed_=4)
+@example(width=9, height=2, channels=3, count=5, mode=ReseedMode.CONTINUOUS,
+         point=(math.nextafter(4.0, 0.0), math.nextafter(1.0, 0.0)), burn_in=0, seed_=5)
+def test_stream_matches_straight_line_reference(width, height, channels, count, mode, point,
+                                                burn_in, seed_):
     rng = np.random.default_rng(seed_)
     frames = [Frame(width, height, channels,
                     rng.integers(0, 256, size=width * height * channels, dtype=np.uint8).tobytes())
               for _ in range(count)]
-    assert_frames_match_reference(frames, KeyMaterial(mu=3.97, x0=0.371, burn_in=burn_in), mode)
+    key = KeyMaterial(*point, burn_in=burn_in)
+    assert_frames_match_reference(frames, key, mode)
+    assert process_stream(process_stream(frames, key, mode), key, mode) == frames
 
 
 @pytest.mark.parametrize("mode", list(ReseedMode))

@@ -5,14 +5,19 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaospip import (
     Frame,
     KeyMaterial,
+    ReseedMode,
+    container_mode_for,
     corr2d,
     derive_key_from_hex,
     derive_key_from_params,
@@ -20,12 +25,14 @@ from chaospip import (
     histogram256,
     read_container,
     read_pnm,
+    write_container,
     write_pnm,
 )
 from chaospip import analysis, cli, keystream
 from chaospip.cli import run
 
 from synthimg import synthetic_gray, synthetic_rgb
+from test_io_properties import _frames, _mutants
 
 KEY_FLAGS = ["--mu", "3.934", "--x0", "0.5250", "--burn-in", "50"]
 
@@ -294,7 +301,7 @@ def test_analyze_rejects_mismatched_images(tmp_path, capsys):
 
 # sha256 of the analyze report for synthetic_rgb(640, 480, 7.4, seed=5)
 # under mu=3.934, x0=0.5250, pinned from the plane-sized float64 corr2d;
-# each 307,200-pixel plane spans many of corr2d's summation leaves.
+# numpy's pairwise tree splits each 307,200-pixel plane many times over.
 GOLDEN_REPORT_SHA256 = "10a56a0cbe02ea24d7f354c476a21901b01c2588d824ff4f15304ba1205569d2"
 
 
@@ -308,7 +315,7 @@ def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, kernel):
     if kernel == "python":
         monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
     frame = synthetic_rgb(640, 480, 7.4, seed=5)
-    assert frame.width * frame.height >= 4 * keystream._LEAF
+    assert frame.width * frame.height >= 131_072
     plain_path = tmp_path / "plain.ppm"
     plain_path.write_bytes(write_pnm(frame))
     container = tmp_path / "c.cpip"
@@ -431,6 +438,57 @@ def test_not_a_container_exits_2(tmp_path):
     bogus = tmp_path / "bogus.cpip"
     bogus.write_bytes(b"NOPE" + bytes(32))
     assert run(["decrypt", "--in", str(bogus), "--out", str(tmp_path / "d"), *KEY_FLAGS]) == 2
+
+
+def _files(valid):
+    """Arbitrary bytes, a valid file, or a valid file with one byte changed and its length too."""
+    return st.one_of(st.binary(max_size=96), valid, _mutants(valid))
+
+
+_pnm_files = _files(_frames.map(write_pnm))
+_container_files = _files(st.builds(
+    lambda frame, count, reseed: write_container(
+        [frame] * count, container_mode_for(frame.channels, video=count > 1), reseed),
+    _frames, st.integers(1, 3), st.sampled_from(list(ReseedMode))))
+_sizes = st.none() | st.integers(-2, 12) | st.integers(-2**70, 2**70)
+
+
+@st.composite
+def _malformed_calls(draw):
+    """(argv with IN, CIPHER and OUT for paths, {name: file content})."""
+    command = draw(st.sampled_from(["encrypt-pnm", "encrypt-raw", "decrypt", "analyze"]))
+    as_pnm = ["--as-pnm"] if draw(st.booleans()) else []
+    if command == "analyze":
+        return (["analyze", "--plain", "IN", "--cipher", "CIPHER", "--report", "OUT"],
+                {"IN": draw(_pnm_files), "CIPHER": draw(_pnm_files | _container_files)})
+    if command == "decrypt":
+        return ["decrypt", "--in", "IN", "--out", "OUT", *KEY_FLAGS, *as_pnm], \
+            {"IN": draw(_container_files)}
+    argv = ["encrypt", "--in", "IN", "--out", "OUT", *KEY_FLAGS, *as_pnm,
+            "--reseed", draw(st.sampled_from([m.value for m in ReseedMode]))]
+    if command == "encrypt-pnm":
+        return argv, {"IN": draw(_pnm_files)}
+    width, height, channels = draw(_sizes), draw(_sizes), draw(st.sampled_from([None, 1, 3]))
+    for flag, value in [("--width", width), ("--height", height), ("--channels", channels)]:
+        argv += [] if value is None else [flag, str(value)]
+    raw = st.binary(max_size=160)
+    if all(value is not None and 0 < value <= 12 for value in (width, height)):
+        raw |= st.integers(1, 3).map(bytes(width * height * (channels or 1)).__mul__)  # whole frames
+    return argv, {"IN": draw(raw)}
+
+
+@settings(max_examples=250, deadline=None)
+@given(_malformed_calls())
+def test_malformed_input_exits_0_or_2_and_a_failure_writes_nothing(call):
+    argv, files = call
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {name: os.path.join(directory, name.lower()) for name in ("IN", "CIPHER", "OUT")}
+        for name, content in files.items():
+            Path(paths[name]).write_bytes(content)
+        code = run([paths.get(arg, arg) for arg in argv])
+        assert code in (0, 2)
+        if code == 2:
+            assert sorted(os.listdir(directory)) == sorted(name.lower() for name in files)
 
 
 # ---------------------------------------------------------------- allocator policy
