@@ -15,10 +15,13 @@
  * and an unknown byte order fails the build. The fifth, the sums and
  * centred second moments of two byte planes for analysis.corr2d, follows
  * numpy's pairwise summation order with every difference and product
- * rounded once, so it needs the same flags as the map. Its oracle,
- * keystream._py_moments, is numpy's own sum of float64 copies, and this
- * file's pairwise() is the only copy of numpy's split: a numpy release
- * that sums in another order makes the load probe fall back to the oracle.
+ * rounded once, so it needs the same flags as the map. For
+ * analysis.compare_frames it also counts both planes' bytes as its
+ * pairwise pass reads them, so a report reads each plane twice, not three
+ * times. Its oracle, keystream._py_moments, is numpy's own sum of float64
+ * copies and np.bincount, and this file's pairwise() is the only copy of
+ * numpy's split: a numpy release that sums in another order makes the
+ * load probe fall back to the oracle.
  *
  * Callers guarantee x in [0, 1], mu in [0, 4] and 0 <= count < 2**63:
  * keystream.KeystreamState holds no other state, and the Python callers
@@ -149,36 +152,41 @@ void chaospip_hist(const uint8_t *data, int64_t n, int64_t *counts)
  * numpy's loop, not a reassociation. */
 typedef double f64x2 __attribute__((vector_size(16)));
 
-/* Pairwise sums of dx^2, dy^2 and dx*dy over elements [0, n), with dx and dy
- * the tabled deviations dx = da[a[i]] and dy = db[b[i]], in the tree of
- * numpy's pairwise_sum (loops_utils.h.src): below 8 terms sequentially from
- * 0.0; up to 128 terms in eight accumulators r0..r7 seeded with the first
- * eight, folded as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail
- * sequentially; above that, the first n/2 - (n/2)%8 terms and the rest,
- * each summed the same way, and added. */
-static void pairwise(const uint8_t *a, const uint8_t *b, int64_t n, const double *da,
-                     const double *db, double s[3])
+/* Four tables of byte counts, as in chaospip_hist. int64 entries cannot
+ * overflow: a plane holds fewer than 2**45 bytes. */
+typedef int64_t tables4[4][256];
+
+/* Sums of dx^2, dy^2 and dx*dy over elements [0, n), n <= 128, with dx and
+ * dy the tabled deviations dx = d[0][a[i]] and dy = d[1][b[i]], in the order
+ * of numpy's pairwise_sum below its blocksize (loops_utils.h.src): below 8
+ * terms sequentially from 0.0; else in eight accumulators r0..r7 seeded
+ * with the first eight, folded as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+ * then the tail sequentially. Unless c is NULL, each byte of a is also
+ * counted into c[0] and each byte of b into c[1] as it is read. Inlined
+ * with a constant NULL, the counting compiles away. */
+static inline __attribute__((always_inline)) void
+leaf(const uint8_t *a, const uint8_t *b, int64_t n, const double (*d)[256], tables4 *c,
+     double s[3])
 {
-    if (n > 128) {
-        int64_t half = n / 2;
-        double left[3], right[3];
-        half -= half % 8;
-        pairwise(a, b, half, da, db, left);
-        pairwise(a + half, b + half, n - half, da, db, right);
-        for (int k = 0; k < 3; k++)
-            s[k] = left[k] + right[k];
-        return;
-    }
+    const double *da = d[0], *db = d[1];
     double xx = 0.0, yy = 0.0, xy = 0.0;
     int64_t i = 0;
     if (n >= 8) {
-        /* Lane j of xx_k is numpy's accumulator r[2k + j], and so on. */
+        /* Lane j of xx_k is numpy's accumulator r[2k + j], and so on; its
+         * bytes are counted into table (2k + j) % 4. */
         f64x2 xx0, xx1, xx2, xx3, yy0, yy1, yy2, yy3, xy0, xy1, xy2, xy3;
 #define TERMS(k, j, op) do { \
-            f64x2 x = {da[a[(j)]], da[a[(j) + 1]]}, y = {db[b[(j)]], db[b[(j) + 1]]}; \
+            uint8_t a0 = a[(j)], a1 = a[(j) + 1], b0 = b[(j)], b1 = b[(j) + 1]; \
+            f64x2 x = {da[a0], da[a1]}, y = {db[b0], db[b1]}; \
             xx##k op x * x; \
             yy##k op y * y; \
             xy##k op x * y; \
+            if (c) { \
+                c[0][2 * (k) % 4][a0]++; \
+                c[0][2 * (k) % 4 + 1][a1]++; \
+                c[1][2 * (k) % 4][b0]++; \
+                c[1][2 * (k) % 4 + 1][b1]++; \
+            } \
         } while (0)
         TERMS(0, 0, =);
         TERMS(1, 2, =);
@@ -202,10 +210,37 @@ static void pairwise(const uint8_t *a, const uint8_t *b, int64_t n, const double
         xx += x * x;
         yy += y * y;
         xy += x * y;
+        if (c) {
+            c[0][0][a[i]]++;
+            c[1][0][b[i]]++;
+        }
     }
     s[0] = xx;
     s[1] = yy;
     s[2] = xy;
+}
+
+/* The same sums over [0, n) in the tree of numpy's pairwise_sum: up to
+ * 128 terms as above; above that, the first n/2 - (n/2)%8 terms and the
+ * rest, each summed the same way, and added. Each byte is counted as in
+ * leaf(). */
+static void pairwise(const uint8_t *a, const uint8_t *b, int64_t n, const double (*d)[256],
+                     tables4 *c, double s[3])
+{
+    if (n > 128) {
+        int64_t half = n / 2;
+        double left[3], right[3];
+        half -= half % 8;
+        pairwise(a, b, half, d, c, left);
+        pairwise(a + half, b + half, n - half, d, c, right);
+        for (int k = 0; k < 3; k++)
+            s[k] = left[k] + right[k];
+        return;
+    }
+    if (c)
+        leaf(a, b, n, d, c, s);
+    else
+        leaf(a, b, n, d, NULL, s);
 }
 
 /* out = {sa, sb, sxx, syy, sxy} of the n bytes of a and of b, with
@@ -214,8 +249,11 @@ static void pairwise(const uint8_t *a, const uint8_t *b, int64_t n, const double
  * (a_i - ma)^2, (b_i - mb)^2 and (a_i - ma)(b_i - mb), each difference and
  * product rounded once, plus 0.0. That is bit for bit what numpy's
  * add.reduce gives on the float64 arrays of those terms, which starts from
- * its identity 0.0 (turning a sum of -0.0 into 0.0). */
-void chaospip_moments(const uint8_t *a, const uint8_t *b, int64_t n, double *out)
+ * its identity 0.0 (turning a sum of -0.0 into 0.0). Unless counts is
+ * NULL, the pairwise pass also counts each byte value v of a into
+ * counts[v] and of b into counts[256 + v], so a plane pair is read twice
+ * for its sums, moments and both histograms. */
+void chaospip_moments(const uint8_t *a, const uint8_t *b, int64_t n, double *out, int64_t *counts)
 {
     /* Blocks whose sums fit 32 bits, with a constant trip count, are what
      * gcc -O2 vectorizes here: about 2.5x faster than one int64 loop. */
@@ -234,12 +272,20 @@ void chaospip_moments(const uint8_t *a, const uint8_t *b, int64_t n, double *out
         sb += b[i];
     }
     double ma = (double)sa / (double)n, mb = (double)sb / (double)n;
-    double da[256], db[256], s[3];
+    double d[2][256], s[3];
     for (int v = 0; v < 256; v++) {
-        da[v] = (double)v - ma;
-        db[v] = (double)v - mb;
+        d[0][v] = (double)v - ma;
+        d[1][v] = (double)v - mb;
     }
-    pairwise(a, b, n, da, db, s);
+    if (counts) {
+        tables4 c[2] = {{{0}}};
+        pairwise(a, b, n, d, c, s);
+        for (int p = 0; p < 2; p++)
+            for (int v = 0; v < 256; v++)
+                counts[256 * p + v] = c[p][0][v] + c[p][1][v] + c[p][2][v] + c[p][3][v];
+    } else {
+        pairwise(a, b, n, d, NULL, s);
+    }
     out[0] = (double)sa;
     out[1] = (double)sb;
     for (int k = 0; k < 3; k++)

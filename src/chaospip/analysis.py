@@ -66,10 +66,11 @@ def corr2d(a, b) -> float:
     float64 copy (axes by decreasing stride; `keystream._moments`). Two
     uint8 planes are summed by the kernel's moments operation, which
     follows numpy's pairwise tree over that order with no plane-sized
-    float64 temporary. Any other pair, mixed dtypes included, goes to its
-    oracle, which is the reference itself on flat float64 copies. If `b`
-    is laid out differently, its sums take `a`'s order and may differ
-    from that reference in the last bits.
+    float64 temporary and, called from here, counts no bytes. Any other
+    pair, mixed dtypes included, goes to its oracle, which is the
+    reference itself on flat float64 copies. If `b` is laid out
+    differently, its sums take `a`'s order and may differ from that
+    reference in the last bits.
     """
     a = _as_array(a)
     b = _as_array(b)
@@ -80,7 +81,12 @@ def corr2d(a, b) -> float:
     order = sorted(range(a.ndim), key=lambda i: (-abs(a.strides[i]), i))
     fa = a.transpose(order).reshape(-1)  # views unless the layout needs a copy
     fb = b.transpose(order).reshape(-1)
-    _sa, _sb, sxx, syy, sxy = keystream._moments(fa, fb)
+    return _pearson(keystream._moments(fa, fb))
+
+
+def _pearson(moments: tuple[float, float, float, float, float]) -> float:
+    """The correlation coefficient of `keystream._moments`' sums."""
+    _sa, _sb, sxx, syy, sxy = moments
     den = float(np.sqrt(sxx * syy))
     if den == 0.0:
         raise DegenerateInput("correlation is undefined for a constant plane")
@@ -141,28 +147,39 @@ class MetricsReport:
 
 
 def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
-    """Metrics between a plain frame and its encrypted counterpart."""
+    """Metrics between a plain frame and its encrypted counterpart.
+
+    Each channel's plain and cipher planes go through one kernel pass,
+    `keystream._counted_moments`, which gives both planes' byte counts
+    and the moments of their correlation: the same histograms as
+    `histogram256` and the same coefficient as `corr2d`, bit for bit.
+    Raises DegenerateInput if any plane is constant.
+    """
     if plain.shape != cipher.shape:
         raise DimensionMismatch(f"frame shapes differ: {plain.shape} vs {cipher.shape}")
-    # Zero-copy plane views; one histogram per plane, and the whole-frame
-    # counts are their exact integer sum.
+    # Zero-copy plane views. counts[c] holds channel c's plain and cipher
+    # histograms, and the whole-frame counts are their exact integer sums.
     pv = np.frombuffer(plain.data, np.uint8).reshape(plain.channels, -1)
     cv = np.frombuffer(cipher.data, np.uint8).reshape(plain.channels, -1)
-    hp = [histogram256(plane) for plane in pv]
-    hc = [histogram256(plane) for plane in cv]
+    counts = np.empty((plain.channels, 2, 256), dtype=np.int64)
+    corrs = []
+    for c in range(plain.channels):
+        moments, counts[c] = keystream._counted_moments(pv[c], cv[c])
+        corrs.append(_pearson(moments))
+    hp, hc = counts[:, 0], counts[:, 1]
     per = [
         ChannelMetrics(
             entropy_plain=entropy_of_counts(hp[c]),
             entropy_cipher=entropy_of_counts(hc[c]),
-            corr=corr2d(pv[c], cv[c]),
+            corr=corrs[c],
         )
         for c in range(plain.channels)
     ]
     return MetricsReport(
-        entropy_plain=entropy_of_counts(sum(hp)),
-        entropy_cipher=entropy_of_counts(sum(hc)),
-        corr=float(np.mean([m.corr for m in per])),
+        entropy_plain=entropy_of_counts(hp.sum(axis=0)),
+        entropy_cipher=entropy_of_counts(hc.sum(axis=0)),
+        corr=float(np.mean(corrs)),
         channels=per if plain.channels == 3 else None,
-        hist_plain=tuple(tuple(h.tolist()) for h in hp),
-        hist_cipher=tuple(tuple(h.tolist()) for h in hc),
+        hist_plain=tuple(map(tuple, hp.tolist())),
+        hist_cipher=tuple(map(tuple, hc.tolist())),
     )

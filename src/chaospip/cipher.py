@@ -72,8 +72,12 @@ class Frame:
             raise ValueError(f"frame dimensions must be positive, got {self.width}x{self.height}")
         if self.channels not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {self.channels!r}")
-        try:  # numpy integers pass; 8.0 would reach a PNM header as "8.0"
-            expected = operator.index(self.width * self.height * self.channels)
+        # numpy integers pass; 8.0 would reach a PNM header as "8.0". Each
+        # dimension is a Python int before the product, which a narrow numpy
+        # type would wrap (uint8 200 * 200 is 64).
+        try:
+            expected = (operator.index(self.width) * operator.index(self.height)
+                        * operator.index(self.channels))
         except TypeError:
             raise ValueError(f"frame dimensions must be integers, got {self.width!r}x"
                              f"{self.height!r}x{self.channels!r}") from None
@@ -89,7 +93,7 @@ class Frame:
         """Bytes of one channel plane."""
         if not 0 <= channel < self.channels:
             raise IndexError(f"channel {channel} out of range for {self.channels}-channel frame")
-        size = self.width * self.height
+        size = len(self.data) // operator.index(self.channels)  # no numpy product to wrap
         return self.data[channel * size : (channel + 1) * size]
 
 

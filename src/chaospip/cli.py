@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import operator
 import secrets
 import sys
 from pathlib import Path
@@ -185,12 +186,16 @@ def _load_cipher_file(path: str) -> Frame:
     return read_pnm(data)
 
 
+# The "value," that starts each histogram row of a report.
+_ROW_PREFIXES = tuple(f"{value}," for value in range(256))
+
+
 def _format_report(report: analysis.MetricsReport) -> str:
     lines = []
     for label, hists in (("plain", report.hist_plain), ("cipher", report.hist_cipher)):
         for c, counts in enumerate(hists):
             lines.append(f"# histogram {label} channel {c}")
-            lines.extend(f"{value},{count}" for value, count in enumerate(counts))
+            lines.extend(map(operator.add, _ROW_PREFIXES, map(str, counts)))
     lines.append(f"entropy_plain={report.entropy_plain!r}")
     lines.append(f"entropy_cipher={report.entropy_cipher!r}")
     lines.append(f"corr={report.corr!r}")

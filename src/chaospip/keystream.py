@@ -21,35 +21,40 @@ integer-only. `_mask` XORs frames with bit-transposed windows of a drawn
 keystream, the cipher's block transform, and `_histogram` counts byte
 values for `analysis.histogram256`. The fifth, `_moments`, gives
 `analysis.corr2d` the sums and centred second moments of two byte planes,
-bit for bit as numpy sums them. There are two kernels. The pure-Python
-one reads states from `_orbit`, the single Python definition of the
-recurrence, and extracts bytes or bins with numpy, which is exact:
-numpy's binary64 multiply and truncation of positive values match
-Python's. It masks with `_py_transpose8` over strided windows, counts
-bytes with `np.bincount` and takes moments as numpy's literal sums of
-float64 copies (`_py_moments`). It is the oracle. The
-native one, `_kernel.c`, is compiled on first use with `cc -O2
--ffp-contract=off -shared -fPIC` into a per-user cache directory and
-loaded through ctypes. Its key bytes and masks are written straight into
-new bytes objects (`_new_bytes`), so a frame-sized result is never copied
-out of a numpy buffer. It must match the oracle bit for bit, so the
-compiler may not change a single rounding: `-ffp-contract=off` forbids
-fused multiply-adds, which round once where Python rounds twice, and
-`-ffast-math`, `-march=native` and any other flag that lets the compiler
-reassociate or change precision are never used. A short probe against
-the oracle, masks, a byte histogram and moments included, guards each
-load. If the library cannot be built, loaded or agree with the probe,
-the oracle runs instead; `BACKEND` names the kernel in use ("native" or
-"python"). The native moments copy numpy's pairwise summation order, so
-a numpy release that changes that order fails the probe, and the oracle,
-numpy itself, runs instead.
+bit for bit as numpy sums them. As `_counted_moments`, the same pass
+also counts both planes' byte values, so `analysis.compare_frames` takes
+a channel's two histograms and its correlation from one call. There are
+two kernels. The pure-Python one reads states from `_orbit`, the single
+Python definition of the recurrence, and extracts bytes or bins with
+numpy, which is exact: numpy's binary64 multiply and truncation of
+positive values match Python's. It masks with `_py_transpose8` over
+strided windows, counts bytes with `np.bincount` and takes moments as
+numpy's literal sums of float64 copies (`_py_moments`, with `np.bincount`
+for the counts). It is the oracle. The native one, `_kernel.c`, is
+compiled on first use with `cc -O2 -ffp-contract=off -shared -fPIC` into a
+per-user cache directory and loaded through ctypes. Its key bytes and
+masks are written straight into new bytes objects (`_new_bytes`), so a
+frame-sized result is never copied out of a numpy buffer. It must match
+the oracle bit for bit, so the compiler may not change a single rounding:
+`-ffp-contract=off` forbids fused multiply-adds, which round once where
+Python rounds twice, and `-ffast-math`, `-march=native` and any other flag
+that lets the compiler reassociate or change precision are never used. A
+short probe against the oracle, masks, a byte histogram and moments with
+and without their byte counts included, guards each load. If the library
+cannot be built, loaded or agree with the probe, the oracle runs instead;
+`BACKEND` names the kernel in use ("native" or "python"). The native
+moments copy numpy's pairwise summation order, so a numpy release that
+changes that order fails the probe, and the oracle, numpy itself, runs
+instead.
 
 The C loops need x in [0, 1], mu in [0, 4] and counts below 2**63, and
 these hold by construction: `KeystreamState` refuses other states, the
 binary64 map keeps [0, 1] invariant for such mu, and every reader of map
 states refuses larger counts, which no kernel could finish anyway. The
 mask loop indexes its buffers unchecked; `_mask` refuses any geometry they
-do not fit, and `_histogram` and `_moments` hand C only contiguous bytes.
+do not fit, and `_histogram`, `_moments` and `_counted_moments` hand C
+only contiguous bytes, the last with a (2, 256) int64 array it made for
+the counts.
 """
 
 from __future__ import annotations
@@ -260,7 +265,15 @@ def _histogram(values: np.ndarray) -> np.ndarray:
     return _loaded().hist(np.ascontiguousarray(values).ravel())
 
 
-def _moments(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float, float, float]:
+_Moments = tuple[float, float, float, float, float]
+
+
+def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim != 1 or a.shape != b.shape or not len(a):
+        raise ValueError(f"cannot take moments of arrays shaped {a.shape} and {b.shape}")
+
+
+def _moments(a: np.ndarray, b: np.ndarray) -> _Moments:
     """(sa, sb, sxx, syy, sxy) of two equal-length, non-empty 1-D arrays.
 
     sa and sb are the sums, ma = sa / n and mb = sb / n the means, and
@@ -269,11 +282,20 @@ def _moments(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float, float, 
     `sum` gives on float64 copies: `_py_moments` is that formula. A pair
     of uint8 arrays runs on the kernel; any other pair runs on the oracle.
     """
-    if a.ndim != 1 or a.shape != b.shape or not len(a):
-        raise ValueError(f"cannot take moments of arrays shaped {a.shape} and {b.shape}")
+    _check_pair(a, b)
     if a.dtype == b.dtype == np.uint8:
-        return _loaded().moments(np.ascontiguousarray(a), np.ascontiguousarray(b))
+        return _loaded().moments(np.ascontiguousarray(a), np.ascontiguousarray(b), None)
     return _py_moments(a, b)
+
+
+def _counted_moments(a: np.ndarray, b: np.ndarray) -> tuple[_Moments, np.ndarray]:
+    """`_moments` of two uint8 arrays, and int64 counts[2, 256] of each
+    byte value in `a` (row 0) and in `b` (row 1), from one kernel pass."""
+    _check_pair(a, b)
+    if not a.dtype == b.dtype == np.uint8:
+        raise ValueError(f"cannot count {a.dtype} and {b.dtype} values as bytes")
+    counts = np.zeros((2, 256), dtype=np.int64)
+    return _loaded().moments(np.ascontiguousarray(a), np.ascontiguousarray(b), counts), counts
 
 
 # ---------------------------------------------------------------- kernels
@@ -340,13 +362,16 @@ def _py_hist(values: np.ndarray) -> np.ndarray:
     return np.bincount(values, minlength=256).astype(np.int64, copy=False)
 
 
-def _py_moments(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float, float, float]:
+def _py_moments(a: np.ndarray, b: np.ndarray, counts: np.ndarray | None = None) -> _Moments:
     """`_moments` of two equal-length, non-empty 1-D arrays of any dtype.
 
     This is the reference `analysis.corr2d` states, literally: numpy's own
     sums of float64 copies, each centred in place on its mean, and of their
     products. It holds at most three array-sized float64 arrays at once.
+    `counts`, if given, receives the `np.bincount`s of two uint8 arrays.
     """
+    if counts is not None:
+        counts[0], counts[1] = _py_hist(a), _py_hist(b)
     n = len(a)
     # Copy, then centre in place: under numpy 1.x value-based casting,
     # uint8 data minus a float64 scalar would compute in float16.
@@ -369,10 +394,13 @@ class _Kernel(NamedTuple):
     mask(key, data, frame_bytes, stride) -> bytes is `_mask` on uint8
     arrays whose geometry `_mask` has checked. hist(values) -> int64
     counts[256] counts the bytes of a contiguous 1-D uint8 array.
-    moments(a, b) -> (sa, sb, sxx, syy, sxy) is `_moments` of two
+    moments(a, b, counts) -> (sa, sb, sxx, syy, sxy) is `_moments` of two
     contiguous, equal-length, non-empty 1-D uint8 arrays, as Python
-    floats; its oracle, `_py_moments`, is numpy's own sums, so the load
-    probe checks the native moments against numpy itself.
+    floats; unless `counts` is None, the same pass also writes the byte
+    counts of `a` and `b` into it, a zeroed, contiguous int64 array of
+    shape (2, 256). Its oracle, `_py_moments`, is numpy's own sums and
+    `np.bincount`, so the load probe checks the native moments against
+    numpy itself.
     """
 
     name: str
@@ -380,7 +408,7 @@ class _Kernel(NamedTuple):
     bins: Callable[[float, float, int, int], tuple[np.ndarray, float]]
     mask: Callable[[np.ndarray, np.ndarray, int, int], bytes]
     hist: Callable[[np.ndarray], np.ndarray]
-    moments: Callable[[np.ndarray, np.ndarray], tuple[float, float, float, float, float]]
+    moments: Callable[[np.ndarray, np.ndarray, np.ndarray | None], _Moments]
 
 
 _PYTHON = _Kernel("python", _py_bytes, _py_bins, _py_mask, _py_hist, _py_moments)
@@ -438,9 +466,10 @@ def _native_kernel(lib) -> _Kernel:
         lib.chaospip_hist(values.ctypes.data, len(values), counts.ctypes.data)
         return counts
 
-    def moments(a, b):
+    def moments(a, b, counts):
         out = np.empty(5)
-        lib.chaospip_moments(a.ctypes.data, b.ctypes.data, len(a), out.ctypes.data)
+        lib.chaospip_moments(a.ctypes.data, b.ctypes.data, len(a), out.ctypes.data,
+                             None if counts is None else counts.ctypes.data)
         return tuple(out.tolist())
 
     return _Kernel("native", bytes_, bins, mask, hist, moments)
@@ -515,7 +544,7 @@ def _load_library():
                                     ("chaospip_bins", [f64, f64, i64, i64, ptr], f64),
                                     ("chaospip_mask", [ptr, ptr, i64, i64, i64, ptr], None),
                                     ("chaospip_hist", [ptr, i64, ptr], None),
-                                    ("chaospip_moments", [ptr, ptr, i64, ptr], None)]:
+                                    ("chaospip_moments", [ptr, ptr, i64, ptr, ptr], None)]:
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
     return lib
@@ -525,15 +554,17 @@ def _agrees(kernel: _Kernel) -> bool:
     """Whether `kernel` reproduces the oracle on a short probe orbit, its
     mask on overlapping windows, windows with gaps and partial tails, its
     histogram of 999 bytes, three past the last group of four, and its
-    moments of those bytes and of 7, bit for bit.
+    moments of pairs of 999 and of 7 bytes, with and without the pair's
+    byte counts, bit for bit.
 
     This catches a compiler that fuses or widens float operations in spite
     of the flags, which would change every keystream after a few iterates,
     a mask that reads blocks in the wrong byte order or gets a two-block
     step, the one-block step after it or the tail wrong, a histogram that
-    drops the tail and moments summed in another order than numpy's: the
-    tree splits 999 terms down to parts of 64 to 128, one of them 71, a
-    block of 64 and a tail of 7.
+    drops the tail, moments summed in another order than numpy's (the tree
+    splits 999 terms down to parts of 64 to 128, one of them 71, a block
+    of 64 and a tail of 7) and counts that drop such a tail or swap the
+    two planes.
     """
     x, mu, count, bins = 0.4, 3.99, 1000, 97
     # (frame_bytes, stride, n): overlap with a tail, a gap with a tail, no tail,
@@ -546,7 +577,11 @@ def _agrees(kernel: _Kernel) -> bool:
         key = np.frombuffer(keys, dtype=np.uint8)
         masks = [k.mask(key[:stride * (n - 1) + size], key[::-1][:size * n].copy(), size, stride)
                  for size, stride, n in geometries]
-        moments = [[v.hex() for v in k.moments(key[1:n], key[1:n][::-1].copy())] for n in (8, 1000)]
+        moments = []
+        for n in (8, 1000):  # plane b differs from a in its counts, too
+            a, b, pair_counts = key[1:n], key[1:n][::-1] >> 1, np.zeros((2, 256), dtype=np.int64)
+            moments += [[v.hex() for v in k.moments(a, b, c)] for c in (None, pair_counts)]
+            moments.append(pair_counts.tolist())
         return keys, counts.tolist(), end, masks, k.hist(key[1:]).tolist(), moments
 
     return probe(kernel) == probe(_PYTHON)

@@ -383,3 +383,20 @@ def test_compare_frames_rgb_carries_per_channel_metrics():
 def test_compare_frames_rejects_mismatched_shapes():
     with pytest.raises(DimensionMismatch):
         compare_frames(Frame(2, 2, 1, bytes(4)), Frame(2, 3, 1, bytes(6)))
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["kernel-in-use", "oracle"])
+@pytest.mark.parametrize("constant", ["plain", "cipher"])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_compare_frames_rejects_a_constant_plane(monkeypatch, oracle, constant, channels):
+    # The last channel's plane is constant in one frame only, so the
+    # correlation of that channel has a zero denominator.
+    if oracle:
+        monkeypatch.setattr(analysis.keystream, "_loaded", lambda: analysis.keystream._PYTHON)
+    rng = np.random.default_rng(35)
+    planes = {name: rng.integers(0, 256, (channels, 13 * 11), dtype=np.uint8)
+              for name in ("plain", "cipher")}
+    planes[constant][-1] = 200
+    plain, cipher = (Frame(13, 11, channels, planes[name].tobytes()) for name in ("plain", "cipher"))
+    with pytest.raises(DegenerateInput):
+        compare_frames(plain, cipher)

@@ -62,6 +62,17 @@ def test_frame_accepts_numpy_integer_dimensions():
     assert read_pnm(write_pnm(frame)) == Frame(8, 2, 3, bytes(48))
 
 
+def test_frame_sizes_narrow_numpy_dimensions_without_wrapping():
+    # 200 * 200 is 64 in uint8; the product must be taken in Python ints,
+    # with no overflow warning (which the test config turns into an error).
+    side = np.uint8(200)
+    with pytest.raises(ValueError, match="expected 40000"):
+        Frame(side, side, 1, bytes(64))
+    frame = Frame(side, side, np.uint8(1), bytes(40_000))
+    assert frame.plane(0) == bytes(40_000)
+    assert read_pnm(write_pnm(frame)) == Frame(200, 200, 1, bytes(40_000))
+
+
 def test_frame_planes():
     frame = Frame(2, 2, 3, bytes(range(12)))
     assert frame.plane(0) == bytes([0, 1, 2, 3])

@@ -243,26 +243,39 @@ def test_analyze_report_format_gray(tmp_path, capsys):
     assert abs(float(values["corr"])) < 0.2
 
 
-def test_analyze_rgb_report_has_per_channel_lines(tmp_path, monkeypatch):
-    frame = synthetic_rgb(24, 24, 7.0, seed=65)
-    plain_path = tmp_path / "plain.ppm"
+def analyze_counting_passes(tmp_path, monkeypatch, frame):
+    """Analyze `frame` against its encryption through the CLI, and return
+    the report and the number of kernel moments calls that counted bytes.
+    `histogram256` and `corr2d` must not be called at all."""
+    suffix = ".ppm" if frame.channels == 3 else ".pgm"
+    plain_path = tmp_path / f"plain{suffix}"
     plain_path.write_bytes(write_pnm(frame))
-    cipher_path = tmp_path / "cipher.ppm"
-    key = KeyMaterial(3.934, 0.5250, 50)
-    cipher = encrypt_image(frame, key)
+    cipher = encrypt_image(frame, KeyMaterial(3.934, 0.5250, 50))
+    cipher_path = tmp_path / f"cipher{suffix}"
     cipher_path.write_bytes(write_pnm(cipher))
     report_path = tmp_path / "report.txt"
-    calls = []
+    kernel, passes = keystream._loaded(), []
 
-    def counting_histogram256(data):
-        calls.append(1)
-        return histogram256(data)
+    def counting_moments(a, b, counts):
+        passes.append(counts is not None)
+        return kernel.moments(a, b, counts)
 
-    monkeypatch.setattr(analysis, "histogram256", counting_histogram256)
+    def forbidden(*args):
+        raise AssertionError("compare_frames reads its counts and moments from the kernel")
+
+    monkeypatch.setattr(keystream, "_loaded", lambda: kernel._replace(moments=counting_moments))
+    monkeypatch.setattr(analysis, "histogram256", forbidden)
+    monkeypatch.setattr(analysis, "corr2d", forbidden)
     assert run(["analyze", "--plain", str(plain_path), "--cipher", str(cipher_path),
                 "--report", str(report_path)]) == 0
-    assert len(calls) == 6  # one histogram per plane, plain and cipher
-    text = report_path.read_text()
+    assert all(passes)
+    return report_path.read_text(), cipher, len(passes)
+
+
+def test_analyze_rgb_report_has_per_channel_lines(tmp_path, monkeypatch):
+    frame = synthetic_rgb(24, 24, 7.0, seed=65)
+    text, cipher, passes = analyze_counting_passes(tmp_path, monkeypatch, frame)
+    assert passes == 3  # one pass per channel over its plain and cipher planes
     for c in range(3):
         assert f"# histogram plain channel {c}" in text
         assert f"entropy_cipher_ch{c}=" in text
@@ -273,6 +286,17 @@ def test_analyze_rgb_report_has_per_channel_lines(tmp_path, monkeypatch):
         source = frame if label == "plain" else cipher
         expected = "".join(f"{v},{n}\n" for v, n in enumerate(histogram256(source.plane(int(c)))))
         assert rows == expected
+
+
+def test_analyze_gray_report_takes_one_counting_pass(tmp_path, monkeypatch):
+    frame = synthetic_gray(61, 37, 7.0, seed=66)
+    text, cipher, passes = analyze_counting_passes(tmp_path, monkeypatch, frame)
+    assert passes == 1
+    blocks = re.findall(r"# histogram (\w+) channel 0\n((?:\d+,\d+\n){256})", text)
+    assert [label for label, _rows in blocks] == ["plain", "cipher"]
+    for (_label, rows), source in zip(blocks, (frame, cipher)):
+        assert rows == "".join(f"{v},{n}\n" for v, n in enumerate(histogram256(source.data)))
+    assert "corr_ch0=" not in text
 
 
 def test_analyze_full_size_image_reaches_target_entropy(tmp_path, capsys, table1_frames):

@@ -119,8 +119,8 @@ class CountingLib:
     def chaospip_hist(self, data, n, counts):
         self.calls.append((n,))
 
-    def chaospip_moments(self, a, b, n, out):
-        self.calls.append(("moments", n))
+    def chaospip_moments(self, a, b, n, out, counts):
+        self.calls.append(("moments", n, counts is not None))
 
 
 @pytest.fixture
@@ -199,14 +199,19 @@ def test_moments_hand_c_equal_byte_pairs_only(counting_lib):
     # dtypes included, runs on the oracle.
     ramp = np.arange(24, dtype=np.uint8)
     for a, b in [(ramp, ramp[:-1]), (ramp[:0], ramp[:0]), (ramp.reshape(4, 6),) * 2]:
-        with pytest.raises(ValueError):
-            keystream._moments(a, b)
+        for moments in (keystream._moments, keystream._counted_moments):
+            with pytest.raises(ValueError):
+                moments(a, b)
     for other in (ramp.astype(np.int64), ramp.astype(np.float64)):
         assert keystream._moments(ramp, other) == keystream._py_moments(ramp, other)
         assert keystream._moments(other, ramp) == keystream._py_moments(other, ramp)
+        # C counts bytes only; a wider pair is refused, not counted on the oracle.
+        with pytest.raises(ValueError):
+            keystream._counted_moments(ramp, other)
     assert counting_lib.calls == []
     keystream._moments(ramp[::2], ramp[1::2])
-    assert counting_lib.calls == [("moments", 12)]
+    keystream._counted_moments(ramp[::2], ramp[1::2])
+    assert counting_lib.calls == [("moments", 12, False), ("moments", 12, True)]
 
 
 def untransposed(key, data, frame_bytes, stride):
@@ -244,12 +249,38 @@ def test_probe_rejects_a_histogram_without_its_tail():
 
 
 def test_probe_rejects_moments_summed_in_another_order():
-    def sequential(a, b):
+    def sequential(a, b, counts):
+        if counts is not None:
+            counts[0], counts[1] = np.bincount(a, minlength=256), np.bincount(b, minlength=256)
         sa, sb = float(a.sum()), float(b.sum())
         x, y = a - sa / len(a), b - sb / len(b)
         return sa, sb, *(float(np.cumsum(p)[-1]) for p in (x * x, y * y, x * y))
 
     assert not keystream._agrees(keystream._PYTHON._replace(moments=sequential))
+
+
+def tailless_counts(a, b, counts):
+    """Counts that skip the terms summed one by one after the eight-term
+    steps, as a count loop missing from the sequential tail would. numpy's
+    tree splits at multiples of 8, so those are the last n % 8 terms."""
+    moments = keystream._py_moments(a, b, counts)
+    if counts is not None:
+        skipped = slice(len(a) - len(a) % 8, None)
+        counts[0] -= np.bincount(a[skipped], minlength=256)
+        counts[1] -= np.bincount(b[skipped], minlength=256)
+    return moments
+
+
+def swapped_counts(a, b, counts):
+    moments = keystream._py_moments(a, b, counts)
+    if counts is not None:
+        counts[:] = counts[::-1].copy()
+    return moments
+
+
+@pytest.mark.parametrize("moments", [tailless_counts, swapped_counts])
+def test_probe_rejects_wrong_counts_with_the_moments(moments):
+    assert not keystream._agrees(keystream._PYTHON._replace(moments=moments))
 
 
 # Every path of numpy's pairwise sum: fewer than 8 terms, one block of 8 to
@@ -279,9 +310,37 @@ def test_native_moments_match_oracle(n, spread_a, spread_b, seed_):
     rng = np.random.default_rng(seed_)
     a, b = (rng.integers(0, 257 - spread, dtype=np.uint8)
             + rng.integers(0, spread, n, dtype=np.uint8) for spread in (spread_a, spread_b))
-    got = keystream._loaded().moments(a, b)
-    want = keystream._PYTHON.moments(a, b)
+    got = keystream._loaded().moments(a, b, None)
+    want = keystream._PYTHON.moments(a, b, None)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.integers(1, 17), st.integers(120, 136), st.integers(248, 264),
+                   st.integers(4088, 4104), st.integers(1, 20_000)),
+       spread_a=st.sampled_from([1, 2, 16, 256]), spread_b=st.sampled_from([1, 3, 256]),
+       seed_=st.integers(0, 2**32 - 1))
+@example(n=1, spread_a=256, spread_b=256, seed_=0)
+@example(n=7, spread_a=256, spread_b=256, seed_=1)
+@example(n=8, spread_a=256, spread_b=16, seed_=2)
+@example(n=127, spread_a=2, spread_b=256, seed_=3)
+@example(n=128, spread_a=256, spread_b=3, seed_=4)
+@example(n=129, spread_a=256, spread_b=256, seed_=5)
+@example(n=999, spread_a=256, spread_b=256, seed_=6)
+@example(n=4095, spread_a=16, spread_b=256, seed_=7)
+@example(n=4097, spread_a=256, spread_b=1, seed_=8)
+def test_counted_moments_match_bincount_and_oracle(n, spread_a, spread_b, seed_):
+    """The counting pass of the kernel in use against `np.bincount` and
+    `_py_moments`: lengths across the tree's splits at 128 and 256 bytes,
+    the sum pass's 4096-byte blocks and every tail of an eight-term step."""
+    rng = np.random.default_rng(seed_)
+    a, b = (rng.integers(0, 257 - spread, dtype=np.uint8)
+            + rng.integers(0, spread, n, dtype=np.uint8) for spread in (spread_a, spread_b))
+    moments, counts = keystream._counted_moments(a, b)
+    assert counts.dtype == np.int64 and counts.shape == (2, 256)
+    assert counts[0].tolist() == np.bincount(a, minlength=256).tolist()
+    assert counts[1].tolist() == np.bincount(b, minlength=256).tolist()
+    assert [v.hex() for v in moments] == [v.hex() for v in keystream._py_moments(a, b)]
 
 
 @settings(max_examples=300, deadline=None)
