@@ -1,27 +1,26 @@
-/* Native kernel of five operations; keystream.py holds the oracle of each.
+/* Native kernel of four operations; keystream.py holds the oracle of each.
  *
  * Two loops, one writing key bytes and one counting states into bins
  * (keystream.skip counts into a single bin), must match the pure-Python
  * map, keystream._orbit, bit for bit. That holds only if each iterate is
  * evaluated as t = 1 - x, u = x * t, x = mu * u, each rounded once in
  * binary64: compile with -ffp-contract=off (no fused multiply-add) and
- * never with -ffast-math or reassociation. Two more of the kernel's five
- * operations are integer-only: the cipher's transpose-and-XOR, whose
- * oracle is keystream._py_mask, and a byte histogram, whose oracle is
- * np.bincount. The transpose-and-XOR reads key blocks as little-endian
- * words, in which the cipher's transpose is a flip about the anti-diagonal,
- * and works two blocks per step in GCC's 16-byte vector lanes (SSE2 on
- * x86-64, with no extra flag); a big-endian host swaps at load and store,
- * and an unknown byte order fails the build. The fifth, the sums and
- * centred second moments of two byte planes for analysis.corr2d, follows
+ * never with -ffast-math or reassociation. The third, the cipher's
+ * transpose-and-XOR, is integer-only; its oracle is keystream._py_mask.
+ * It reads key blocks as little-endian words, in which the cipher's
+ * transpose is a flip about the anti-diagonal, and works two blocks per
+ * step in GCC's 16-byte vector lanes (SSE2 on x86-64, with no extra
+ * flag); a big-endian host swaps at load and store, and an unknown byte
+ * order fails the build. The fourth serves all byte-plane analysis
+ * (analysis.compare_frames and analysis.corr2d): the sums and centred
+ * second moments of two byte planes, and the counts of both planes' byte
+ * values, from one sum pass and one pairwise pass. The moments follow
  * numpy's pairwise summation order with every difference and product
- * rounded once, so it needs the same flags as the map. For
- * analysis.compare_frames it also counts both planes' bytes as its
- * pairwise pass reads them, so a report reads each plane twice, not three
- * times. Its oracle, keystream._py_moments, is numpy's own sum of float64
- * copies and np.bincount, and this file's pairwise() is the only copy of
- * numpy's split: a numpy release that sums in another order makes the
- * load probe fall back to the oracle.
+ * rounded once, so they need the same flags as the map. Its oracle,
+ * keystream._py_moments, is numpy's own sum of float64 copies and
+ * np.bincount, and this file's pairwise() is the only copy of numpy's
+ * split: a numpy release that sums in another order makes the load probe
+ * fall back to the oracle.
  *
  * Callers guarantee x in [0, 1], mu in [0, 4] and 0 <= count < 2**63:
  * keystream.KeystreamState holds no other state, and the Python callers
@@ -128,32 +127,14 @@ void chaospip_mask(const uint8_t *key, const uint8_t *data, int64_t n, int64_t f
     }
 }
 
-/* counts[v] = the number of bytes v in data[0 .. n), for v in 0..255. Four
- * tables, one per byte of each group of four, so that a run of equal bytes
- * does not make every increment wait for the one before it. */
-void chaospip_hist(const uint8_t *data, int64_t n, int64_t *counts)
-{
-    int64_t tables[4][256] = {{0}};
-    int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        tables[0][data[i]]++;
-        tables[1][data[i + 1]]++;
-        tables[2][data[i + 2]]++;
-        tables[3][data[i + 3]]++;
-    }
-    for (; i < n; i++)
-        tables[0][data[i]]++;
-    for (int v = 0; v < 256; v++)
-        counts[v] = tables[0][v] + tables[1][v] + tables[2][v] + tables[3][v];
-}
-
 /* Two lanes of binary64. Each lane of an operation on it rounds exactly as
  * the scalar operation does, so a pair of lanes is two accumulators of
  * numpy's loop, not a reassociation. */
 typedef double f64x2 __attribute__((vector_size(16)));
 
-/* Four tables of byte counts, as in chaospip_hist. int64 entries cannot
- * overflow: a plane holds fewer than 2**45 bytes. */
+/* Four tables of byte counts, taken in turn by consecutive bytes, so that a
+ * run of equal bytes does not make every increment wait for the one before
+ * it. int64 entries cannot overflow: a plane holds fewer than 2**45 bytes. */
 typedef int64_t tables4[4][256];
 
 /* Sums of dx^2, dy^2 and dx*dy over elements [0, n), n <= 128, with dx and
@@ -161,12 +142,10 @@ typedef int64_t tables4[4][256];
  * of numpy's pairwise_sum below its blocksize (loops_utils.h.src): below 8
  * terms sequentially from 0.0; else in eight accumulators r0..r7 seeded
  * with the first eight, folded as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
- * then the tail sequentially. Unless c is NULL, each byte of a is also
- * counted into c[0] and each byte of b into c[1] as it is read. Inlined
- * with a constant NULL, the counting compiles away. */
-static inline __attribute__((always_inline)) void
-leaf(const uint8_t *a, const uint8_t *b, int64_t n, const double (*d)[256], tables4 *c,
-     double s[3])
+ * then the tail sequentially. Each byte of a is also counted into c[0]
+ * and each byte of b into c[1] as it is read. */
+static void leaf(const uint8_t *a, const uint8_t *b, int64_t n, const double (*d)[256],
+                 tables4 *c, double s[3])
 {
     const double *da = d[0], *db = d[1];
     double xx = 0.0, yy = 0.0, xy = 0.0;
@@ -181,12 +160,10 @@ leaf(const uint8_t *a, const uint8_t *b, int64_t n, const double (*d)[256], tabl
             xx##k op x * x; \
             yy##k op y * y; \
             xy##k op x * y; \
-            if (c) { \
-                c[0][2 * (k) % 4][a0]++; \
-                c[0][2 * (k) % 4 + 1][a1]++; \
-                c[1][2 * (k) % 4][b0]++; \
-                c[1][2 * (k) % 4 + 1][b1]++; \
-            } \
+            c[0][2 * (k) % 4][a0]++; \
+            c[0][2 * (k) % 4 + 1][a1]++; \
+            c[1][2 * (k) % 4][b0]++; \
+            c[1][2 * (k) % 4 + 1][b1]++; \
         } while (0)
         TERMS(0, 0, =);
         TERMS(1, 2, =);
@@ -210,10 +187,8 @@ leaf(const uint8_t *a, const uint8_t *b, int64_t n, const double (*d)[256], tabl
         xx += x * x;
         yy += y * y;
         xy += x * y;
-        if (c) {
-            c[0][0][a[i]]++;
-            c[1][0][b[i]]++;
-        }
+        c[0][0][a[i]]++;
+        c[1][0][b[i]]++;
     }
     s[0] = xx;
     s[1] = yy;
@@ -237,10 +212,7 @@ static void pairwise(const uint8_t *a, const uint8_t *b, int64_t n, const double
             s[k] = left[k] + right[k];
         return;
     }
-    if (c)
-        leaf(a, b, n, d, c, s);
-    else
-        leaf(a, b, n, d, NULL, s);
+    leaf(a, b, n, d, c, s);
 }
 
 /* out = {sa, sb, sxx, syy, sxy} of the n bytes of a and of b, with
@@ -249,10 +221,10 @@ static void pairwise(const uint8_t *a, const uint8_t *b, int64_t n, const double
  * (a_i - ma)^2, (b_i - mb)^2 and (a_i - ma)(b_i - mb), each difference and
  * product rounded once, plus 0.0. That is bit for bit what numpy's
  * add.reduce gives on the float64 arrays of those terms, which starts from
- * its identity 0.0 (turning a sum of -0.0 into 0.0). Unless counts is
- * NULL, the pairwise pass also counts each byte value v of a into
- * counts[v] and of b into counts[256 + v], so a plane pair is read twice
- * for its sums, moments and both histograms. */
+ * its identity 0.0 (turning a sum of -0.0 into 0.0). The pairwise pass
+ * also counts each byte value v of a into counts[v] and of b into
+ * counts[256 + v], so a plane pair is read twice for its sums, moments and
+ * both histograms. */
 void chaospip_moments(const uint8_t *a, const uint8_t *b, int64_t n, double *out, int64_t *counts)
 {
     /* Blocks whose sums fit 32 bits, with a constant trip count, are what
@@ -277,15 +249,11 @@ void chaospip_moments(const uint8_t *a, const uint8_t *b, int64_t n, double *out
         d[0][v] = (double)v - ma;
         d[1][v] = (double)v - mb;
     }
-    if (counts) {
-        tables4 c[2] = {{{0}}};
-        pairwise(a, b, n, d, c, s);
-        for (int p = 0; p < 2; p++)
-            for (int v = 0; v < 256; v++)
-                counts[256 * p + v] = c[p][0][v] + c[p][1][v] + c[p][2][v] + c[p][3][v];
-    } else {
-        pairwise(a, b, n, d, NULL, s);
-    }
+    tables4 c[2] = {{{0}}};
+    pairwise(a, b, n, d, c, s);
+    for (int p = 0; p < 2; p++)
+        for (int v = 0; v < 256; v++)
+            counts[256 * p + v] = c[p][0][v] + c[p][1][v] + c[p][2][v] + c[p][3][v];
     out[0] = (double)sa;
     out[1] = (double)sb;
     for (int k = 0; k < 3; k++)

@@ -26,7 +26,7 @@ def _as_array(data) -> np.ndarray:
 
 
 def histogram256(data) -> np.ndarray:
-    """Counts of each byte value 0..255; empty input gives all zeros.
+    """int64 counts of each byte value 0..255; empty input gives all zeros.
 
     Raises ValueError for a non-integer dtype or a value outside 0..255.
     """
@@ -34,7 +34,9 @@ def histogram256(data) -> np.ndarray:
     if values.dtype != np.uint8 and values.size:
         if values.dtype.kind not in "iu" or values.min() < 0 or values.max() > 255:
             raise ValueError(f"histogram256 needs byte values 0..255, got {values.dtype} data")
-    return keystream._histogram(values.astype(np.uint8, copy=False))
+    # np.bincount refuses uint64 under safe casting; byte values fit uint8.
+    counts = np.bincount(values.astype(np.uint8, copy=False), minlength=256)
+    return counts.astype(np.int64, copy=False)
 
 
 def entropy_of_counts(counts) -> float:
@@ -66,11 +68,11 @@ def corr2d(a, b) -> float:
     float64 copy (axes by decreasing stride; `keystream._moments`). Two
     uint8 planes are summed by the kernel's moments operation, which
     follows numpy's pairwise tree over that order with no plane-sized
-    float64 temporary and, called from here, counts no bytes. Any other
-    pair, mixed dtypes included, goes to its oracle, which is the
-    reference itself on flat float64 copies. If `b` is laid out
-    differently, its sums take `a`'s order and may differ from that
-    reference in the last bits.
+    float64 temporary; the byte counts it also takes are not used here.
+    Any other pair, mixed dtypes included, goes to its oracle,
+    `keystream._py_moments`, which is the reference itself on flat float64
+    copies. If `b` is laid out differently, its sums take `a`'s order and
+    may differ from that reference in the last bits.
     """
     a = _as_array(a)
     b = _as_array(b)
@@ -81,7 +83,9 @@ def corr2d(a, b) -> float:
     order = sorted(range(a.ndim), key=lambda i: (-abs(a.strides[i]), i))
     fa = a.transpose(order).reshape(-1)  # views unless the layout needs a copy
     fb = b.transpose(order).reshape(-1)
-    return _pearson(keystream._moments(fa, fb))
+    if fa.dtype == fb.dtype == np.uint8:
+        return _pearson(keystream._moments(fa, fb)[0])
+    return _pearson(keystream._py_moments(fa, fb))
 
 
 def _pearson(moments: tuple[float, float, float, float, float]) -> float:
@@ -150,7 +154,7 @@ def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
     """Metrics between a plain frame and its encrypted counterpart.
 
     Each channel's plain and cipher planes go through one kernel pass,
-    `keystream._counted_moments`, which gives both planes' byte counts
+    `keystream._moments`, which gives both planes' byte counts
     and the moments of their correlation: the same histograms as
     `histogram256` and the same coefficient as `corr2d`, bit for bit.
     Raises DegenerateInput if any plane is constant.
@@ -164,22 +168,26 @@ def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
     counts = np.empty((plain.channels, 2, 256), dtype=np.int64)
     corrs = []
     for c in range(plain.channels):
-        moments, counts[c] = keystream._counted_moments(pv[c], cv[c])
+        moments, counts[c] = keystream._moments(pv[c], cv[c])
         corrs.append(_pearson(moments))
     hp, hc = counts[:, 0], counts[:, 1]
-    per = [
-        ChannelMetrics(
-            entropy_plain=entropy_of_counts(hp[c]),
-            entropy_cipher=entropy_of_counts(hc[c]),
-            corr=corrs[c],
-        )
-        for c in range(plain.channels)
-    ]
+    # A gray frame's one channel is the whole frame: its entropies are the
+    # whole-frame ones below, so per-channel metrics are built for RGB only.
+    per = None
+    if plain.channels == 3:
+        per = [
+            ChannelMetrics(
+                entropy_plain=entropy_of_counts(hp[c]),
+                entropy_cipher=entropy_of_counts(hc[c]),
+                corr=corrs[c],
+            )
+            for c in range(plain.channels)
+        ]
     return MetricsReport(
         entropy_plain=entropy_of_counts(hp.sum(axis=0)),
         entropy_cipher=entropy_of_counts(hc.sum(axis=0)),
         corr=float(np.mean(corrs)),
-        channels=per if plain.channels == 3 else None,
+        channels=per,
         hist_plain=tuple(map(tuple, hp.tolist())),
         hist_cipher=tuple(map(tuple, hc.tolist())),
     )

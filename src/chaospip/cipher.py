@@ -68,20 +68,22 @@ class Frame:
     data: bytes
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"frame dimensions must be positive, got {self.width}x{self.height}")
-        if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels!r}")
-        # numpy integers pass; 8.0 would reach a PNM header as "8.0". Each
+        # numpy integers pass; 8.0 would reach a PNM header as "8.0", and "8"
+        # or None would fail the range checks with a TypeError. Each
         # dimension is a Python int before the product, which a narrow numpy
         # type would wrap (uint8 200 * 200 is 64).
         try:
-            expected = (operator.index(self.width) * operator.index(self.height)
-                        * operator.index(self.channels))
+            width, height, channels = (operator.index(self.width), operator.index(self.height),
+                                       operator.index(self.channels))
         except TypeError:
             raise ValueError(f"frame dimensions must be integers, got {self.width!r}x"
                              f"{self.height!r}x{self.channels!r}") from None
+        if width < 1 or height < 1:
+            raise ValueError(f"frame dimensions must be positive, got {width}x{height}")
+        if channels not in (1, 3):
+            raise ValueError(f"channels must be 1 or 3, got {channels!r}")
         object.__setattr__(self, "data", bytes(self.data))
+        expected = width * height * channels
         if len(self.data) != expected:
             raise ValueError(f"data holds {len(self.data)} bytes, expected {expected}")
 

@@ -13,24 +13,23 @@ into an image leaves measurable plaintext correlation in the ciphertext.
 The cycling counter balances every bit position without touching
 determinism, seed sensitivity, or the cipher's involution.
 
-The package's loops run in one kernel of five operations. Every reader
+The package's loops run in one kernel of four operations. Every reader
 of map states (`skip`, `take_bytes`, `analysis.keystream_histogram`) uses
 the first two: make key bytes, or count states into histogram bins. `skip`
-counts into a single bin and keeps only the last state. The next two are
-integer-only. `_mask` XORs frames with bit-transposed windows of a drawn
-keystream, the cipher's block transform, and `_histogram` counts byte
-values for `analysis.histogram256`. The fifth, `_moments`, gives
-`analysis.corr2d` the sums and centred second moments of two byte planes,
-bit for bit as numpy sums them. As `_counted_moments`, the same pass
-also counts both planes' byte values, so `analysis.compare_frames` takes
-a channel's two histograms and its correlation from one call. There are
-two kernels. The pure-Python one reads states from `_orbit`, the single
-Python definition of the recurrence, and extracts bytes or bins with
-numpy, which is exact: numpy's binary64 multiply and truncation of
-positive values match Python's. It masks with `_py_transpose8` over
-strided windows, counts bytes with `np.bincount` and takes moments as
-numpy's literal sums of float64 copies (`_py_moments`, with `np.bincount`
-for the counts). It is the oracle. The native one, `_kernel.c`, is
+counts into a single bin and keeps only the last state. The third, `_mask`,
+is integer-only: it XORs frames with bit-transposed windows of a drawn
+keystream, the cipher's block transform. The fourth, `_moments`, serves
+all byte-plane analysis: one pass over two byte planes gives their sums
+and centred second moments, bit for bit as numpy sums them, and counts
+both planes' byte values. `analysis.compare_frames` takes a channel's two
+histograms and its correlation from one call, and `analysis.corr2d` uses
+the same pass and ignores the counts. There are two kernels. The
+pure-Python one reads states from `_orbit`, the single Python definition
+of the recurrence, and extracts bytes or bins with numpy, which is exact:
+numpy's binary64 multiply and truncation of positive values match
+Python's. It masks with `_py_transpose8` over strided windows and takes
+moments as numpy's literal sums of float64 copies (`_py_moments`) and
+counts as `np.bincount`. It is the oracle. The native one, `_kernel.c`, is
 compiled on first use with `cc -O2 -ffp-contract=off -shared -fPIC` into a
 per-user cache directory and loaded through ctypes. Its key bytes and
 masks are written straight into new bytes objects (`_new_bytes`), so a
@@ -39,22 +38,20 @@ the oracle bit for bit, so the compiler may not change a single rounding:
 `-ffp-contract=off` forbids fused multiply-adds, which round once where
 Python rounds twice, and `-ffast-math`, `-march=native` and any other flag
 that lets the compiler reassociate or change precision are never used. A
-short probe against the oracle, masks, a byte histogram and moments with
-and without their byte counts included, guards each load. If the library
-cannot be built, loaded or agree with the probe, the oracle runs instead;
-`BACKEND` names the kernel in use ("native" or "python"). The native
-moments copy numpy's pairwise summation order, so a numpy release that
-changes that order fails the probe, and the oracle, numpy itself, runs
-instead.
+short probe against the oracle, masks and moments with their byte counts
+included, guards each load. If the library cannot be built, loaded or
+agree with the probe, the oracle runs instead; `BACKEND` names the kernel
+in use ("native" or "python"). The native moments copy numpy's pairwise
+summation order, so a numpy release that changes that order fails the
+probe, and the oracle, numpy itself, runs instead.
 
 The C loops need x in [0, 1], mu in [0, 4] and counts below 2**63, and
 these hold by construction: `KeystreamState` refuses other states, the
 binary64 map keeps [0, 1] invariant for such mu, and every reader of map
 states refuses larger counts, which no kernel could finish anyway. The
 mask loop indexes its buffers unchecked; `_mask` refuses any geometry they
-do not fit, and `_histogram`, `_moments` and `_counted_moments` hand C
-only contiguous bytes, the last with a (2, 256) int64 array it made for
-the counts.
+do not fit, and `_moments` hands C only two contiguous byte arrays of one
+length, and a (2, 256) int64 array it made for the counts.
 """
 
 from __future__ import annotations
@@ -258,44 +255,25 @@ def _mask(key, data, frame_bytes: int, stride: int) -> bytes:
     return _loaded().mask(key, data, frame_bytes, stride)
 
 
-def _histogram(values: np.ndarray) -> np.ndarray:
-    """int64 counts of each value 0..255 in the uint8 array `values`."""
-    if values.dtype != np.uint8:
-        raise ValueError(f"cannot count {values.dtype} values as bytes")
-    return _loaded().hist(np.ascontiguousarray(values).ravel())
-
-
 _Moments = tuple[float, float, float, float, float]
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
-    if a.ndim != 1 or a.shape != b.shape or not len(a):
-        raise ValueError(f"cannot take moments of arrays shaped {a.shape} and {b.shape}")
-
-
-def _moments(a: np.ndarray, b: np.ndarray) -> _Moments:
-    """(sa, sb, sxx, syy, sxy) of two equal-length, non-empty 1-D arrays.
+def _moments(a: np.ndarray, b: np.ndarray) -> tuple[_Moments, np.ndarray]:
+    """(sa, sb, sxx, syy, sxy) of two equal-length, non-empty 1-D uint8
+    arrays, and int64 counts[2, 256] of each byte value in `a` (row 0) and
+    in `b` (row 1), from one kernel pass.
 
     sa and sb are the sums, ma = sa / n and mb = sb / n the means, and
     sxx, syy and sxy the sums of (a - ma)**2, (b - mb)**2 and
     (a - ma) * (b - mb), all in binary64 and bit for bit what numpy's
-    `sum` gives on float64 copies: `_py_moments` is that formula. A pair
-    of uint8 arrays runs on the kernel; any other pair runs on the oracle.
+    `sum` gives on float64 copies: `_py_moments` is that formula, and it
+    takes any other pair.
     """
-    _check_pair(a, b)
-    if a.dtype == b.dtype == np.uint8:
-        return _loaded().moments(np.ascontiguousarray(a), np.ascontiguousarray(b), None)
-    return _py_moments(a, b)
-
-
-def _counted_moments(a: np.ndarray, b: np.ndarray) -> tuple[_Moments, np.ndarray]:
-    """`_moments` of two uint8 arrays, and int64 counts[2, 256] of each
-    byte value in `a` (row 0) and in `b` (row 1), from one kernel pass."""
-    _check_pair(a, b)
+    if a.ndim != 1 or a.shape != b.shape or not len(a):
+        raise ValueError(f"cannot take moments of arrays shaped {a.shape} and {b.shape}")
     if not a.dtype == b.dtype == np.uint8:
         raise ValueError(f"cannot count {a.dtype} and {b.dtype} values as bytes")
-    counts = np.zeros((2, 256), dtype=np.int64)
-    return _loaded().moments(np.ascontiguousarray(a), np.ascontiguousarray(b), counts), counts
+    return _loaded().moments(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 # ---------------------------------------------------------------- kernels
@@ -358,20 +336,13 @@ def _py_mask(key: np.ndarray, data: np.ndarray, frame_bytes: int, stride: int) -
     return (data.reshape(n, frame_bytes) ^ mask).tobytes()
 
 
-def _py_hist(values: np.ndarray) -> np.ndarray:
-    return np.bincount(values, minlength=256).astype(np.int64, copy=False)
-
-
-def _py_moments(a: np.ndarray, b: np.ndarray, counts: np.ndarray | None = None) -> _Moments:
-    """`_moments` of two equal-length, non-empty 1-D arrays of any dtype.
+def _py_moments(a: np.ndarray, b: np.ndarray) -> _Moments:
+    """`_moments`' sums of two equal-length, non-empty 1-D arrays of any dtype.
 
     This is the reference `analysis.corr2d` states, literally: numpy's own
     sums of float64 copies, each centred in place on its mean, and of their
     products. It holds at most three array-sized float64 arrays at once.
-    `counts`, if given, receives the `np.bincount`s of two uint8 arrays.
     """
-    if counts is not None:
-        counts[0], counts[1] = _py_hist(a), _py_hist(b)
     n = len(a)
     # Copy, then centre in place: under numpy 1.x value-based casting,
     # uint8 data minus a float64 scalar would compute in float16.
@@ -385,33 +356,34 @@ def _py_moments(a: np.ndarray, b: np.ndarray, counts: np.ndarray | None = None) 
     return tuple(float(v) for v in (sa, sb, sxx, syy, sxy))
 
 
+def _py_counted_moments(a: np.ndarray, b: np.ndarray) -> tuple[_Moments, np.ndarray]:
+    counts = [np.bincount(a, minlength=256), np.bincount(b, minlength=256)]
+    return _py_moments(a, b), np.array(counts, dtype=np.int64)
+
+
 class _Kernel(NamedTuple):
-    """The five operations; the two on map states return the last state.
+    """The four operations; the two on map states return the last state.
 
     bytes(x, mu, low, count) -> (keys, x), key byte i whitened with
     (low + i) & 0xFF; bins(x, mu, count, bins) -> (int64 counts, x).
     Callers pass a `KeystreamState`'s x and mu and a count below 2**63.
     mask(key, data, frame_bytes, stride) -> bytes is `_mask` on uint8
-    arrays whose geometry `_mask` has checked. hist(values) -> int64
-    counts[256] counts the bytes of a contiguous 1-D uint8 array.
-    moments(a, b, counts) -> (sa, sb, sxx, syy, sxy) is `_moments` of two
-    contiguous, equal-length, non-empty 1-D uint8 arrays, as Python
-    floats; unless `counts` is None, the same pass also writes the byte
-    counts of `a` and `b` into it, a zeroed, contiguous int64 array of
-    shape (2, 256). Its oracle, `_py_moments`, is numpy's own sums and
-    `np.bincount`, so the load probe checks the native moments against
-    numpy itself.
+    arrays whose geometry `_mask` has checked. moments(a, b) -> (sums,
+    counts) is `_moments` of two contiguous, equal-length, non-empty 1-D
+    uint8 arrays: the five sums as Python floats, and a new int64 array of
+    shape (2, 256) with the byte counts of `a` and `b`. Its oracle is
+    numpy's own sums (`_py_moments`) and `np.bincount`, so the load probe
+    checks the native moments against numpy itself.
     """
 
     name: str
     bytes: Callable[[float, float, int, int], tuple[bytes, float]]
     bins: Callable[[float, float, int, int], tuple[np.ndarray, float]]
     mask: Callable[[np.ndarray, np.ndarray, int, int], bytes]
-    hist: Callable[[np.ndarray], np.ndarray]
-    moments: Callable[[np.ndarray, np.ndarray, np.ndarray | None], _Moments]
+    moments: Callable[[np.ndarray, np.ndarray], tuple[_Moments, np.ndarray]]
 
 
-_PYTHON = _Kernel("python", _py_bytes, _py_bins, _py_mask, _py_hist, _py_moments)
+_PYTHON = _Kernel("python", _py_bytes, _py_bins, _py_mask, _py_counted_moments)
 
 
 @functools.cache
@@ -461,18 +433,13 @@ def _native_kernel(lib) -> _Kernel:
                           stride, address)
         return out
 
-    def hist(values):
-        counts = np.zeros(256, dtype=np.int64)
-        lib.chaospip_hist(values.ctypes.data, len(values), counts.ctypes.data)
-        return counts
-
-    def moments(a, b, counts):
-        out = np.empty(5)
+    def moments(a, b):
+        out, counts = np.empty(5), np.empty((2, 256), dtype=np.int64)
         lib.chaospip_moments(a.ctypes.data, b.ctypes.data, len(a), out.ctypes.data,
-                             None if counts is None else counts.ctypes.data)
-        return tuple(out.tolist())
+                             counts.ctypes.data)
+        return tuple(out.tolist()), counts
 
-    return _Kernel("native", bytes_, bins, mask, hist, moments)
+    return _Kernel("native", bytes_, bins, mask, moments)
 
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -543,7 +510,6 @@ def _load_library():
     for name, argtypes, restype in [("chaospip_bytes", [f64, f64, i64, i64, ptr], f64),
                                     ("chaospip_bins", [f64, f64, i64, i64, ptr], f64),
                                     ("chaospip_mask", [ptr, ptr, i64, i64, i64, ptr], None),
-                                    ("chaospip_hist", [ptr, i64, ptr], None),
                                     ("chaospip_moments", [ptr, ptr, i64, ptr, ptr], None)]:
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
@@ -552,19 +518,17 @@ def _load_library():
 
 def _agrees(kernel: _Kernel) -> bool:
     """Whether `kernel` reproduces the oracle on a short probe orbit, its
-    mask on overlapping windows, windows with gaps and partial tails, its
-    histogram of 999 bytes, three past the last group of four, and its
-    moments of pairs of 999 and of 7 bytes, with and without the pair's
-    byte counts, bit for bit.
+    mask on overlapping windows, windows with gaps and partial tails, and
+    its moments and byte counts of pairs of 999 and of 7 bytes, bit for
+    bit.
 
     This catches a compiler that fuses or widens float operations in spite
     of the flags, which would change every keystream after a few iterates,
     a mask that reads blocks in the wrong byte order or gets a two-block
-    step, the one-block step after it or the tail wrong, a histogram that
-    drops the tail, moments summed in another order than numpy's (the tree
-    splits 999 terms down to parts of 64 to 128, one of them 71, a block
-    of 64 and a tail of 7) and counts that drop such a tail or swap the
-    two planes.
+    step, the one-block step after it or the tail wrong, moments summed in
+    another order than numpy's (the tree splits 999 terms down to parts of
+    64 to 128, one of them 71, a block of 64 and a tail of 7) and counts
+    that drop such a tail or swap the two planes.
     """
     x, mu, count, bins = 0.4, 3.99, 1000, 97
     # (frame_bytes, stride, n): overlap with a tail, a gap with a tail, no tail,
@@ -579,10 +543,9 @@ def _agrees(kernel: _Kernel) -> bool:
                  for size, stride, n in geometries]
         moments = []
         for n in (8, 1000):  # plane b differs from a in its counts, too
-            a, b, pair_counts = key[1:n], key[1:n][::-1] >> 1, np.zeros((2, 256), dtype=np.int64)
-            moments += [[v.hex() for v in k.moments(a, b, c)] for c in (None, pair_counts)]
-            moments.append(pair_counts.tolist())
-        return keys, counts.tolist(), end, masks, k.hist(key[1:]).tolist(), moments
+            sums, pair_counts = k.moments(key[1:n], key[1:n][::-1] >> 1)
+            moments += [[v.hex() for v in sums], pair_counts.tolist()]
+        return keys, counts.tolist(), end, masks, moments
 
     return probe(kernel) == probe(_PYTHON)
 

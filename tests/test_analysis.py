@@ -380,6 +380,25 @@ def test_compare_frames_rgb_carries_per_channel_metrics():
     assert report.corr == pytest.approx(np.mean([m.corr for m in report.channels]), abs=0)
 
 
+@pytest.mark.parametrize("channels, calls", [(1, 2), (3, 8)])
+def test_compare_frames_takes_each_entropy_once(monkeypatch, channels, calls):
+    # Whole-frame plain and cipher entropies, plus both per channel for RGB
+    # only: a gray frame's one channel is the whole frame.
+    make = synthetic_gray if channels == 1 else synthetic_rgb
+    frame = make(16, 16, 7.0, seed=36)
+    cipher = encrypt_image(frame, KeyMaterial(mu=3.934, x0=0.5250, burn_in=20))
+    want = compare_frames(frame, cipher)
+    seen = []
+
+    def counted(counts):
+        seen.append(counts)
+        return entropy_of_counts(counts)
+
+    monkeypatch.setattr(analysis, "entropy_of_counts", counted)
+    assert compare_frames(frame, cipher) == want
+    assert len(seen) == calls
+
+
 def test_compare_frames_rejects_mismatched_shapes():
     with pytest.raises(DimensionMismatch):
         compare_frames(Frame(2, 2, 1, bytes(4)), Frame(2, 3, 1, bytes(6)))

@@ -48,7 +48,7 @@ def test_frame_validates_geometry():
 
 
 @pytest.mark.parametrize("width, height, channels", [(8.0, 2, 1), (8, 2.0, 1), (8, 2, 1.0),
-                                                     (2.5, 2, 1)])
+                                                     (2.5, 2, 1), ("8", 2, 1), (None, 2, 1)])
 def test_frame_refuses_dimensions_that_are_not_integers(width, height, channels):
     # A float width would reach a PNM header as "8.0" and the container
     # header as a struct.error; ValueError is what the CLI maps to exit 2.

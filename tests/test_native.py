@@ -28,7 +28,7 @@ from chaospip import (
     transform_plane,
     write_pnm,
 )
-from chaospip.analysis import histogram256, keystream_histogram
+from chaospip.analysis import corr2d, histogram256, keystream_histogram
 from chaospip.cli import run
 from chaospip.errors import RangeError
 from chaospip.keystream import (
@@ -116,11 +116,8 @@ class CountingLib:
     def chaospip_mask(self, key, data, n, frame_bytes, stride, out):
         self.calls.append((n, frame_bytes, stride))
 
-    def chaospip_hist(self, data, n, counts):
-        self.calls.append((n,))
-
     def chaospip_moments(self, a, b, n, out, counts):
-        self.calls.append(("moments", n, counts is not None))
+        self.calls.append(("moments", n))
 
 
 @pytest.fixture
@@ -185,33 +182,23 @@ def test_bad_mask_geometry_never_reaches_c(counting_lib, key_len, data_len, fram
     assert counting_lib.calls == [(2, 10, 17)]
 
 
-def test_histogram_hands_c_contiguous_bytes_only(counting_lib):
-    # C reads n bytes from the start of the buffer, whatever its strides.
-    with pytest.raises(ValueError):
-        keystream._histogram(np.zeros(4, dtype=np.int16))
-    assert counting_lib.calls == []
-    histogram256(np.arange(24, dtype=np.uint8).reshape(4, 6)[:, ::2])
-    assert counting_lib.calls == [(12,)]
-
-
 def test_moments_hand_c_equal_byte_pairs_only(counting_lib):
-    # C reads n bytes from the start of each buffer. Any other pair, mixed
-    # dtypes included, runs on the oracle.
+    # C reads n bytes from the start of each buffer and counts them as
+    # bytes, so a wider pair is refused; corr2d takes such a pair, mixed
+    # dtypes included, to the oracle.
     ramp = np.arange(24, dtype=np.uint8)
     for a, b in [(ramp, ramp[:-1]), (ramp[:0], ramp[:0]), (ramp.reshape(4, 6),) * 2]:
-        for moments in (keystream._moments, keystream._counted_moments):
-            with pytest.raises(ValueError):
-                moments(a, b)
-    for other in (ramp.astype(np.int64), ramp.astype(np.float64)):
-        assert keystream._moments(ramp, other) == keystream._py_moments(ramp, other)
-        assert keystream._moments(other, ramp) == keystream._py_moments(other, ramp)
-        # C counts bytes only; a wider pair is refused, not counted on the oracle.
         with pytest.raises(ValueError):
-            keystream._counted_moments(ramp, other)
+            keystream._moments(a, b)
+    for other in (ramp.astype(np.int64), ramp.astype(np.float64)):
+        with pytest.raises(ValueError):
+            keystream._moments(ramp, other)
+        with pytest.raises(ValueError):
+            keystream._moments(other, ramp)
+        assert corr2d(ramp, other) == corr2d(other, ramp) == 1.0
     assert counting_lib.calls == []
     keystream._moments(ramp[::2], ramp[1::2])
-    keystream._counted_moments(ramp[::2], ramp[1::2])
-    assert counting_lib.calls == [("moments", 12, False), ("moments", 12, True)]
+    assert counting_lib.calls == [("moments", 12)]
 
 
 def untransposed(key, data, frame_bytes, stride):
@@ -241,41 +228,30 @@ def test_probe_rejects_a_wrong_mask(mask):
     assert not keystream._agrees(keystream._PYTHON._replace(mask=mask))
 
 
-def test_probe_rejects_a_histogram_without_its_tail():
-    def tailless(values):
-        return keystream._py_hist(values[:len(values) - len(values) % 4])
-
-    assert not keystream._agrees(keystream._PYTHON._replace(hist=tailless))
-
-
 def test_probe_rejects_moments_summed_in_another_order():
-    def sequential(a, b, counts):
-        if counts is not None:
-            counts[0], counts[1] = np.bincount(a, minlength=256), np.bincount(b, minlength=256)
+    def sequential(a, b):
+        _sums, counts = keystream._PYTHON.moments(a, b)
         sa, sb = float(a.sum()), float(b.sum())
         x, y = a - sa / len(a), b - sb / len(b)
-        return sa, sb, *(float(np.cumsum(p)[-1]) for p in (x * x, y * y, x * y))
+        return (sa, sb, *(float(np.cumsum(p)[-1]) for p in (x * x, y * y, x * y))), counts
 
     assert not keystream._agrees(keystream._PYTHON._replace(moments=sequential))
 
 
-def tailless_counts(a, b, counts):
+def tailless_counts(a, b):
     """Counts that skip the terms summed one by one after the eight-term
     steps, as a count loop missing from the sequential tail would. numpy's
     tree splits at multiples of 8, so those are the last n % 8 terms."""
-    moments = keystream._py_moments(a, b, counts)
-    if counts is not None:
-        skipped = slice(len(a) - len(a) % 8, None)
-        counts[0] -= np.bincount(a[skipped], minlength=256)
-        counts[1] -= np.bincount(b[skipped], minlength=256)
-    return moments
+    moments, counts = keystream._PYTHON.moments(a, b)
+    skipped = slice(len(a) - len(a) % 8, None)
+    counts[0] -= np.bincount(a[skipped], minlength=256)
+    counts[1] -= np.bincount(b[skipped], minlength=256)
+    return moments, counts
 
 
-def swapped_counts(a, b, counts):
-    moments = keystream._py_moments(a, b, counts)
-    if counts is not None:
-        counts[:] = counts[::-1].copy()
-    return moments
+def swapped_counts(a, b):
+    moments, counts = keystream._PYTHON.moments(a, b)
+    return moments, counts[::-1].copy()
 
 
 @pytest.mark.parametrize("moments", [tailless_counts, swapped_counts])
@@ -310,9 +286,10 @@ def test_native_moments_match_oracle(n, spread_a, spread_b, seed_):
     rng = np.random.default_rng(seed_)
     a, b = (rng.integers(0, 257 - spread, dtype=np.uint8)
             + rng.integers(0, spread, n, dtype=np.uint8) for spread in (spread_a, spread_b))
-    got = keystream._loaded().moments(a, b, None)
-    want = keystream._PYTHON.moments(a, b, None)
+    got, got_counts = keystream._loaded().moments(a, b)
+    want, want_counts = keystream._PYTHON.moments(a, b)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert got_counts.tolist() == want_counts.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -330,17 +307,19 @@ def test_native_moments_match_oracle(n, spread_a, spread_b, seed_):
 @example(n=4095, spread_a=16, spread_b=256, seed_=7)
 @example(n=4097, spread_a=256, spread_b=1, seed_=8)
 def test_counted_moments_match_bincount_and_oracle(n, spread_a, spread_b, seed_):
-    """The counting pass of the kernel in use against `np.bincount` and
-    `_py_moments`: lengths across the tree's splits at 128 and 256 bytes,
-    the sum pass's 4096-byte blocks and every tail of an eight-term step."""
+    """The moments pass of the kernel in use against `np.bincount` and
+    `_PYTHON.moments`: lengths across the tree's splits at 128 and 256
+    bytes, the sum pass's 4096-byte blocks and every tail of an eight-term
+    step."""
     rng = np.random.default_rng(seed_)
     a, b = (rng.integers(0, 257 - spread, dtype=np.uint8)
             + rng.integers(0, spread, n, dtype=np.uint8) for spread in (spread_a, spread_b))
-    moments, counts = keystream._counted_moments(a, b)
+    moments, counts = keystream._moments(a, b)
     assert counts.dtype == np.int64 and counts.shape == (2, 256)
     assert counts[0].tolist() == np.bincount(a, minlength=256).tolist()
     assert counts[1].tolist() == np.bincount(b, minlength=256).tolist()
-    assert [v.hex() for v in moments] == [v.hex() for v in keystream._py_moments(a, b)]
+    want, _counts = keystream._PYTHON.moments(a, b)
+    assert [v.hex() for v in moments] == [v.hex() for v in want]
 
 
 @settings(max_examples=300, deadline=None)
@@ -353,8 +332,8 @@ def test_counted_moments_match_bincount_and_oracle(n, spread_a, spread_b, seed_)
 @example(length=3, step=1, offset=3, dtype=np.int32, seed_=3)
 @example(length=4, step=1, offset=0, dtype=np.uint8, seed_=4)
 def test_histogram_matches_bincount(length, step, offset, dtype, seed_):
-    # Every tail length past the last group of four, strided views and wider
-    # integer dtypes holding byte values.
+    # Strided views and wider integer dtypes holding byte values, uint64
+    # included, which np.bincount refuses to cast safely.
     top = 128 if dtype == np.int8 else 256
     values = np.random.default_rng(seed_).integers(0, top, offset + length * step).astype(dtype)
     values = values[offset::step]
