@@ -161,33 +161,33 @@ def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
     """
     if plain.shape != cipher.shape:
         raise DimensionMismatch(f"frame shapes differ: {plain.shape} vs {cipher.shape}")
-    # Zero-copy plane views. counts[c] holds channel c's plain and cipher
-    # histograms, and the whole-frame counts are their exact integer sums.
+    # Zero-copy plane views and one kernel pass per channel. counts[c] holds
+    # channel c's plain and cipher histograms, and the whole-frame counts
+    # are their exact integer sum: a gray frame's one array as it is.
     pv = np.frombuffer(plain.data, np.uint8).reshape(plain.channels, -1)
     cv = np.frombuffer(cipher.data, np.uint8).reshape(plain.channels, -1)
-    counts = np.empty((plain.channels, 2, 256), dtype=np.int64)
-    corrs = []
-    for c in range(plain.channels):
-        moments, counts[c] = keystream._moments(pv[c], cv[c])
-        corrs.append(_pearson(moments))
-    hp, hc = counts[:, 0], counts[:, 1]
-    # A gray frame's one channel is the whole frame: its entropies are the
-    # whole-frame ones below, so per-channel metrics are built for RGB only.
+    moments, counts = zip(*map(keystream._moments, pv, cv))
+    corrs = [_pearson(sums) for sums in moments]
+    whole = sum(counts[1:], counts[0])
+    # A gray frame's entropies are the whole-frame ones below, so
+    # per-channel metrics are built for RGB only.
     per = None
     if plain.channels == 3:
         per = [
             ChannelMetrics(
-                entropy_plain=entropy_of_counts(hp[c]),
-                entropy_cipher=entropy_of_counts(hc[c]),
-                corr=corrs[c],
+                entropy_plain=entropy_of_counts(hp),
+                entropy_cipher=entropy_of_counts(hc),
+                corr=corr,
             )
-            for c in range(plain.channels)
+            for (hp, hc), corr in zip(counts, corrs)
         ]
+    # One tuple of 256 counts per channel, for each side.
+    hist_plain, hist_cipher = zip(*(map(tuple, c.tolist()) for c in counts))
     return MetricsReport(
-        entropy_plain=entropy_of_counts(hp.sum(axis=0)),
-        entropy_cipher=entropy_of_counts(hc.sum(axis=0)),
-        corr=float(np.mean(corrs)),
+        entropy_plain=entropy_of_counts(whole[0]),
+        entropy_cipher=entropy_of_counts(whole[1]),
+        corr=float(np.add.reduce(corrs)) / len(corrs),  # np.mean, without its Python overhead
         channels=per,
-        hist_plain=tuple(map(tuple, hp.tolist())),
-        hist_cipher=tuple(map(tuple, hc.tolist())),
+        hist_plain=hist_plain,
+        hist_cipher=hist_cipher,
     )

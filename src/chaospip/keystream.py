@@ -492,19 +492,28 @@ def _build(source: Path, target: Path) -> None:
             os.unlink(tmp)
 
 
-def _load_library():
-    """The compiled kernel, built into the cache first if it is not there."""
-    import ctypes
+_SOURCE = Path(__file__).with_name("_kernel.c")
+
+
+def _library_path() -> Path:
+    """Where the kernel built from this `_kernel.c` with `_FLAGS` on this
+    platform is cached."""
     import hashlib
     import sysconfig
 
-    source = Path(__file__).with_name("_kernel.c")
     tag = hashlib.sha256(b"\0".join(
-        [source.read_bytes(), " ".join(_FLAGS).encode(), sysconfig.get_platform().encode()]
+        [_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), sysconfig.get_platform().encode()]
     )).hexdigest()[:20]
-    path = _cache_dir() / f"kernel-{tag}.so"
+    return _cache_dir() / f"kernel-{tag}.so"
+
+
+def _load_library():
+    """The compiled kernel, built into the cache first if it is not there."""
+    import ctypes
+
+    path = _library_path()
     if not path.exists():
-        _build(source, path)
+        _build(_SOURCE, path)
     lib = ctypes.CDLL(str(path))
     f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     for name, argtypes, restype in [("chaospip_bytes", [f64, f64, i64, i64, ptr], f64),

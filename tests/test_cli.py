@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaospip import (
@@ -327,20 +327,23 @@ def test_analyze_rejects_mismatched_images(tmp_path, capsys):
 # under mu=3.934, x0=0.5250, pinned from the plane-sized float64 corr2d;
 # numpy's pairwise tree splits each 307,200-pixel plane many times over.
 GOLDEN_REPORT_SHA256 = "10a56a0cbe02ea24d7f354c476a21901b01c2588d824ff4f15304ba1205569d2"
+# The same for synthetic_gray(512, 256, 7.2, seed=9), pinned from the report
+# writer that built each histogram row with its own str and concatenation.
+GOLDEN_GRAY_REPORT_SHA256 = "4ba80ea180aae4dc87b0ae5dd645db27a22efd23e27af7e052f766112599a06a"
 
-
-@pytest.mark.parametrize("kernel", [
+KERNELS = [
     pytest.param("native", marks=pytest.mark.skipif(keystream.BACKEND != "native",
                                                      reason="native kernel not in use")),
     "python",
-])
-def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, kernel):
+]
+
+
+def assert_report_pinned(tmp_path, monkeypatch, kernel, frame, digest):
     # The oracle's report is checked on every host, not only on one without cc.
     if kernel == "python":
         monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
-    frame = synthetic_rgb(640, 480, 7.4, seed=5)
     assert frame.width * frame.height >= 131_072
-    plain_path = tmp_path / "plain.ppm"
+    plain_path = tmp_path / ("plain.ppm" if frame.channels == 3 else "plain.pgm")
     plain_path.write_bytes(write_pnm(frame))
     container = tmp_path / "c.cpip"
     assert run(["encrypt", "--in", str(plain_path), "--out", str(container),
@@ -348,10 +351,68 @@ def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, kernel):
     report_path = tmp_path / "report.txt"
     assert run(["analyze", "--plain", str(plain_path), "--cipher", str(container),
                 "--report", str(report_path)]) == 0
-    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == digest
     cipher = encrypt_image(frame, derive_key_from_params("3.934", "0.5250"))
     text = cli._format_report(analysis.compare_frames(frame, cipher))
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, kernel):
+    assert_report_pinned(tmp_path, monkeypatch, kernel, synthetic_rgb(640, 480, 7.4, seed=5),
+                         GOLDEN_REPORT_SHA256)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_analyze_gray_report_bytes_are_pinned(tmp_path, monkeypatch, kernel):
+    assert_report_pinned(tmp_path, monkeypatch, kernel, synthetic_gray(512, 256, 7.2, seed=9),
+                         GOLDEN_GRAY_REPORT_SHA256)
+
+
+def reference_report(report):
+    """The report text built row by row, as the writer did before it formatted
+    each histogram block in one step."""
+    lines = []
+    for label, hists in (("plain", report.hist_plain), ("cipher", report.hist_cipher)):
+        for c, counts in enumerate(hists):
+            lines.append(f"# histogram {label} channel {c}")
+            lines.extend(f"{value},{count}" for value, count in enumerate(counts))
+    lines.append(f"entropy_plain={report.entropy_plain!r}")
+    lines.append(f"entropy_cipher={report.entropy_cipher!r}")
+    lines.append(f"corr={report.corr!r}")
+    if report.channels is not None:
+        for c, m in enumerate(report.channels):
+            lines.append(f"entropy_plain_ch{c}={m.entropy_plain!r}")
+            lines.append(f"entropy_cipher_ch{c}={m.entropy_cipher!r}")
+            lines.append(f"corr_ch{c}={m.corr!r}")
+    return "\n".join(lines) + "\n"
+
+
+_metric = st.floats(allow_nan=False, allow_infinity=False)
+_histogram = st.lists(st.integers(0, 2**45 - 1), min_size=256, max_size=256).map(tuple)
+
+
+@st.composite
+def metrics_reports(draw):
+    channels = draw(st.sampled_from([1, 3]))
+    per = None
+    if channels == 3:
+        per = [analysis.ChannelMetrics(draw(_metric), draw(_metric), draw(_metric))
+               for _ in range(3)]
+    return analysis.MetricsReport(
+        entropy_plain=draw(_metric), entropy_cipher=draw(_metric), corr=draw(_metric),
+        channels=per,
+        hist_plain=tuple(draw(_histogram) for _ in range(channels)),
+        hist_cipher=tuple(draw(_histogram) for _ in range(channels)),
+    )
+
+
+@example(analysis.MetricsReport(-0.0, 5e-324, -2.2250738585072014e-308, None,
+                                ((2**45 - 1,) * 256,), ((0,) * 256,)))
+@given(metrics_reports())
+@settings(max_examples=150, deadline=None)
+def test_format_report_matches_row_by_row_reference(report):
+    assert cli._format_report(report) == reference_report(report)
 
 
 def test_analyze_rejects_multi_frame_container(tmp_path):
@@ -368,10 +429,20 @@ def test_analyze_rejects_multi_frame_container(tmp_path):
 # ---------------------------------------------------------------- keystream-hist
 
 
-def test_keystream_hist_csv(tmp_path):
+# sha256 of test_keystream_hist_csv's CSV, pinned from the writer that took
+# the repr of each interior bin edge twice.
+KEYSTREAM_HIST_CSV_SHA256 = "0818f3b693dc89cd8064e0e94c3c8b3a2b54a2b5bf58dac9966081dd5338fb67"
+
+
+def test_keystream_hist_csv(tmp_path, monkeypatch):
     out = tmp_path / "hist.csv"
-    assert run(["keystream-hist", "--mu", "3.934", "--x0", "0.22101986",
-                "--burn-in", "1000", "--n", "5000", "--bins", "50", "--out", str(out)]) == 0
+    argv = ["keystream-hist", "--mu", "3.934", "--x0", "0.22101986",
+            "--burn-in", "1000", "--n", "5000", "--bins", "50", "--out", str(out)]
+    assert run(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == KEYSTREAM_HIST_CSV_SHA256
+    monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
+    assert run(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == KEYSTREAM_HIST_CSV_SHA256
     rows = out.read_text().splitlines()
     assert len(rows) == 50
     total = 0
