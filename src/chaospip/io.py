@@ -30,7 +30,6 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Iterable
 
-import ctypes
 import re
 import struct
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from .cipher import Frame, ReseedMode, _check_same_shape
 from .errors import FormatError
-from .keystream import _new_bytes
+from .keystream import _new_array
 
 MAGIC = b"CPIP"
 VERSION = 1
@@ -67,14 +66,6 @@ class ContainerMode(IntEnum):
     @property
     def is_video(self) -> bool:
         return self in (ContainerMode.GRAY_VIDEO, ContainerMode.RGB_VIDEO)
-
-
-def _new_array(size: int) -> tuple[bytes, np.ndarray]:
-    """A new bytes object of `size` bytes and a writable uint8 array over its
-    data, which the caller fills before handing the bytes out (see
-    `keystream._new_bytes`)."""
-    out, address = _new_bytes(size)
-    return out, np.frombuffer((ctypes.c_char * size).from_address(address), dtype=np.uint8)
 
 
 def container_mode_for(channels: int, video: bool) -> ContainerMode:
@@ -121,7 +112,8 @@ def read_pnm(data: bytes) -> Frame:
 def write_pnm(frame: Frame) -> bytes:
     """Serialize a Frame as canonical binary PGM/PPM."""
     magic = "P5" if frame.channels == 1 else "P6"
-    header = f"{magic}\n{frame.width} {frame.height}\n255\n".encode("ascii")
+    # :d prints a bool dimension, which Frame takes as an int, as a number.
+    header = f"{magic}\n{frame.width:d} {frame.height:d}\n255\n".encode("ascii")
     if frame.channels == 1:
         return header + frame.data
     # One channel at a time into the output bytes, which already hold the

@@ -31,9 +31,10 @@ Python's. It masks with `_py_transpose8` over strided windows and takes
 moments as numpy's literal sums of float64 copies (`_py_moments`) and
 counts as `np.bincount`. It is the oracle. The native one, `_kernel.c`, is
 compiled on first use with `cc -O2 -ffp-contract=off -shared -fPIC` into a
-per-user cache directory and loaded through ctypes. Its key bytes and
-masks are written straight into new bytes objects (`_new_bytes`), so a
-frame-sized result is never copied out of a numpy buffer. It must match
+per-user cache directory and loaded through ctypes. Both kernels write
+their key bytes and masks, and `io` its PNM conversions, straight into
+new bytes objects from `_new_bytes`, so a frame-sized result is never
+copied out of a numpy buffer. The native kernel must match
 the oracle bit for bit, so the compiler may not change a single rounding:
 `-ffp-contract=off` forbids fused multiply-adds, which round once where
 Python rounds twice, and `-ffast-math`, `-march=native` and any other flag
@@ -57,6 +58,7 @@ length, and a (2, 256) int64 array it made for the counts.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import operator
@@ -280,16 +282,16 @@ def _moments(a: np.ndarray, b: np.ndarray) -> tuple[_Moments, np.ndarray]:
 
 
 def _py_bytes(x: float, mu: float, low: int, count: int) -> tuple[bytes, float]:
-    out = np.empty(count, dtype=np.uint8)
+    out, view = _new_array(count)
     pos = 0
     for states in _orbit(x, mu, count):
         # Rebinding frees the list before `_orbit` builds the next one.
         x, states = states[-1], np.fromiter(states, np.float64, len(states))
         end = pos + len(states)
         raw = np.minimum((states * 256.0).astype(np.int64), 255)
-        out[pos:end] = raw ^ ((np.arange(pos, end) + low) & 0xFF)
+        view[pos:end] = raw ^ ((np.arange(pos, end) + low) & 0xFF)
         pos = end
-    return out.tobytes(), x
+    return out, x
 
 
 def _py_bins(x: float, mu: float, count: int, bins: int) -> tuple[np.ndarray, float]:
@@ -326,14 +328,12 @@ def _py_mask(key: np.ndarray, data: np.ndarray, frame_bytes: int, stride: int) -
     # which cost about 15 us a call (4% of a 320x240 frame on a 2-core Xeon).
     windows = as_strided(key, (n, frame_bytes), (stride, 1), writeable=False)
     full = frame_bytes - frame_bytes % 8
-    # These are the allocations, in order, of the single-frame code before
-    # batching. Writing into a preallocated mask instead, or skipping the
-    # concatenate for frames without a tail, let glibc trim and regrow its
-    # heap on every call of a loop of CLI commands: a 1080p encrypt then
-    # page-faulted 26 MB per call and ran 25% slower (2-core Xeon).
-    mask = np.concatenate([_py_transpose8(np.ascontiguousarray(windows[:, :full])),
-                           windows[:, full:]], axis=1)
-    return (data.reshape(n, frame_bytes) ^ mask).tobytes()
+    transposed = _py_transpose8(np.ascontiguousarray(windows[:, :full]))
+    out, view = _new_array(len(data))  # after the transpose: before it, 1080p peaks 6 MB higher
+    data, view = data.reshape(n, frame_bytes), view.reshape(n, frame_bytes)
+    np.bitwise_xor(data[:, :full], transposed, out=view[:, :full])
+    np.bitwise_xor(data[:, full:], windows[:, full:], out=view[:, full:])
+    return out
 
 
 def _py_moments(a: np.ndarray, b: np.ndarray) -> _Moments:
@@ -391,8 +391,6 @@ def _bytes_api():
     """CPython's PyBytes_FromStringAndSize and PyBytes_AsString, as private
     ctypes functions (`pythonapi[name]` makes a new one, so no other user's
     argtypes are touched)."""
-    import ctypes
-
     make, data = ctypes.pythonapi["PyBytes_FromStringAndSize"], ctypes.pythonapi["PyBytes_AsString"]
     make.argtypes, make.restype = [ctypes.c_void_p, ctypes.c_ssize_t], ctypes.py_object
     data.argtypes, data.restype = [ctypes.py_object], ctypes.c_void_p
@@ -404,13 +402,23 @@ def _new_bytes(size: int) -> tuple[bytes, int]:
 
     CPython lets the creator of PyBytes_FromStringAndSize(NULL, size) write
     its data until the object is shared, so a frame-sized result is built
-    once in its final bytes, with no buffer to copy it out of. The caller
-    fills all `size` bytes before any other code sees the object, and never
-    writes to it after.
+    once in its final bytes, with no buffer to copy it out of. Every result
+    buffer of the package comes from here. The caller fills all `size`
+    bytes before any other code sees the object, and never writes to it
+    after.
     """
     make, data = _bytes_api()
     out = make(None, size)
     return out, data(out)
+
+
+def _new_array(size: int) -> tuple[bytes, np.ndarray]:
+    """`_new_bytes`, with a writable uint8 array over the data for numpy to
+    fill; the array does not keep the bytes alive. The native kernel takes
+    the bare address: the array costs about 2 us a call (2-core Xeon), 3-6%
+    of a native call on a 64 KiB batch."""
+    out, address = _new_bytes(size)
+    return out, np.frombuffer((ctypes.c_char * size).from_address(address), dtype=np.uint8)
 
 
 def _native_kernel(lib) -> _Kernel:
@@ -509,8 +517,6 @@ def _library_path() -> Path:
 
 def _load_library():
     """The compiled kernel, built into the cache first if it is not there."""
-    import ctypes
-
     path = _library_path()
     if not path.exists():
         _build(_SOURCE, path)

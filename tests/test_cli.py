@@ -33,6 +33,7 @@ from chaospip.cli import run
 
 from synthimg import synthetic_gray, synthetic_rgb
 from test_io_properties import _frames, _mutants
+from test_keystream import FIXED_POINT_HEX_KEY
 
 KEY_FLAGS = ["--mu", "3.934", "--x0", "0.5250", "--burn-in", "50"]
 
@@ -55,6 +56,12 @@ def test_keygen_from_hex_prints_parseable_key(capsys):
     expected = derive_key_from_hex(hex_key)
     reparsed = derive_key_from_params(match[1], match[2], int(match[3]))
     assert reparsed == expected
+
+
+def test_keygen_from_hex_accepts_a_key_on_the_fixed_point(capsys):
+    assert run(["keygen", "--from-hex", FIXED_POINT_HEX_KEY]) == 0
+    match = re.fullmatch(r"mu=(\S+) x0=(\S+) burn_in=(\d+)\n", capsys.readouterr().out)
+    assert derive_key_from_params(*match.groups()[:2]) == derive_key_from_hex(FIXED_POINT_HEX_KEY)
 
 
 def test_keygen_random_yields_valid_key(capsys):

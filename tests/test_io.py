@@ -86,6 +86,19 @@ def test_pnm_round_trip(width, height, channels, rng_seed):
     assert read_pnm(write_pnm(frame)) == frame
 
 
+@pytest.mark.parametrize(
+    "width,height,channels",
+    [(True, 2, 1), (3, True, 3), (np.uint8(200), np.int8(2), 1), (np.uint16(2), np.uint8(255), 3)],
+)
+def test_pnm_header_prints_integer_dimensions(width, height, channels):
+    # Frame takes any operator.index type; the header must still read back.
+    size = int(width) * int(height) * channels
+    frame = Frame(width, height, channels, bytes(i % 251 for i in range(size)))
+    blob = write_pnm(frame)
+    assert blob.startswith(b"P%d\n%d %d\n255\n" % (5 if channels == 1 else 6, width, height))
+    assert read_pnm(blob) == frame
+
+
 def test_ppm_write_interleaves():
     frame = Frame(2, 1, 3, bytes([1, 2, 3, 4, 5, 6]))  # planar R=[1,2] G=[3,4] B=[5,6]
     assert write_pnm(frame) == b"P6\n2 1\n255\n" + bytes([1, 3, 5, 2, 4, 6])

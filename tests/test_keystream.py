@@ -22,6 +22,10 @@ from chaospip import keystream
 from chaospip.analysis import keystream_histogram
 
 
+# A hex key whose x0 rounds onto the fixed point 1 - 1/mu of its mu = 3.9.
+FIXED_POINT_HEX_KEY = "0" * 32 + "be5be5be5be5c0000000000000000000"
+
+
 def oracle_step(x: float, mu: float) -> float:
     """One iterate via exact rationals, each operation rounded once.
 
@@ -117,6 +121,16 @@ def test_hex_key_all_f_clamped_into_open_intervals():
     assert key.x0 == math.nextafter(1.0, 0.0)
     assert 3.57 < key.mu < 4.0
     assert 0.0 < key.x0 < 1.0
+
+
+def test_hex_key_on_the_fixed_point_steps_one_ulp_off_it():
+    # k1 = 0 gives mu = 3.9, and this k2 rounds x0 exactly onto 1 - 1/mu,
+    # which KeyMaterial refuses with FixedPointError.
+    k2 = int(FIXED_POINT_HEX_KEY[32:], 16)
+    assert (float(k2) + 1.0) / (2.0**128 + 2.0) == 1.0 - 1.0 / 3.9
+    key = derive_key_from_hex(FIXED_POINT_HEX_KEY)
+    assert key.mu == 3.9
+    assert key.x0 == math.nextafter(1.0 - 1.0 / 3.9, 0.0)
 
 
 def test_hex_key_midrange_formula():

@@ -533,3 +533,16 @@ def test_cold_build_leaves_only_the_library(tmp_path, monkeypatch):
     kernel = keystream._native_kernel(keystream._load_library())
     assert keystream._agrees(kernel)
     assert [p.suffix for p in (tmp_path / "chaospip").iterdir()] == [".so"]
+
+
+@pytest.mark.parametrize("error", [subprocess.CalledProcessError(1, "cc", stderr=b"error"),
+                                   subprocess.TimeoutExpired("cc", 300)], ids=["fails", "hangs"])
+def test_failed_build_leaves_nothing_in_the_cache(tmp_path, monkeypatch, error):
+    def compile_(argv, **kwargs):
+        Path(argv[argv.index("-o") + 1]).write_bytes(b"half a library")
+        raise error
+
+    monkeypatch.setattr(subprocess, "run", compile_)
+    with pytest.raises(OSError, match="cannot compile _kernel.c"):
+        keystream._build(keystream._SOURCE, tmp_path / "kernel.so")
+    assert list(tmp_path.iterdir()) == []
