@@ -21,7 +21,7 @@ of one keystream, frame i by the window that starts stride * i iterates
 past the first frame's start (stride = the frame size in continuous mode,
 PER_FRAME_STRIDE in per-frame mode). `transform_plane` draws all the
 windows of a batch of frames in one keystream call, and `process_stream`
-makes one `transform_plane` call per batch.
+(the one frame loop, images included) makes one call per batch.
 """
 
 from __future__ import annotations
@@ -99,6 +99,12 @@ class Frame:
         return self.data[channel * size : (channel + 1) * size]
 
 
+def _cut(data, width: int, height: int, channels: int) -> list[Frame]:
+    """Consecutive Frames sliced from `data` as given: one bytes frame stays that very object."""
+    size = operator.index(width) * operator.index(height) * operator.index(channels)
+    return [Frame(width, height, channels, data[i:i + size]) for i in range(0, len(data), size)]
+
+
 def _block(data) -> bytes:
     """`data` as bytes, refused unless it holds exactly one block."""
     if len(data) != BLOCK_SIZE:
@@ -155,15 +161,12 @@ def transform_plane(
 
 
 def encrypt_image(frame: Frame, key: KeyMaterial) -> Frame:
-    """Encrypt one frame: burn in, then one keystream over all planes."""
-    data, _ = transform_plane(frame.data, keystream.seed(key))
-    return Frame(frame.width, frame.height, frame.channels, data)
+    """Encrypt one frame, a one-frame video: burn in, then one keystream over all planes."""
+    return process_stream([frame], key)[0]
 
 
-def decrypt_image(frame: Frame, key: KeyMaterial) -> Frame:
-    """Decrypt one frame. The pipeline is an involution, so this is
-    the same transform as encrypt_image; the name exists for callers."""
-    return encrypt_image(frame, key)
+# The transform is an involution, so decrypting is the same operation.
+decrypt_image = encrypt_image
 
 
 def _check_same_shape(frames: Sequence[Frame]) -> None:
@@ -179,14 +182,13 @@ def process_stream(
     """Encrypt/decrypt a frame sequence under reseed `mode`, a `ReseedMode` or its value.
 
     Frames go through `transform_plane` in batches of at most _BATCH_BYTES
-    (or one frame, if a frame is larger), one call per batch.
+    (or one frame, if a frame is larger), one call per batch; `_cut` splits its output.
     """
     mode = ReseedMode(mode)
     frames = list(frames)
     if not frames:
         return []
     _check_same_shape(frames)
-    width, height, channels = frames[0].shape
     size = len(frames[0].data)
     stride = size if mode is ReseedMode.CONTINUOUS else PER_FRAME_STRIDE
     per_batch = max(1, _BATCH_BYTES // size)
@@ -195,6 +197,5 @@ def process_stream(
     for first in range(0, len(frames), per_batch):
         batch = b"".join(f.data for f in frames[first:first + per_batch])
         data, state = transform_plane(batch, state, size, stride)
-        out.extend(Frame(width, height, channels, data[i:i + size])
-                   for i in range(0, len(data), size))
+        out.extend(_cut(data, *frames[0].shape))
     return out

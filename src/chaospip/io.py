@@ -20,9 +20,9 @@ Container side: the encrypted-payload file format. Layout, big-endian:
 followed by frame_count * width * height * channels payload bytes (frames
 concatenated, each channel-planar). The header never carries key material.
 
-Raw side: `read_raw` cuts concatenated channel-planar frames into
-Frames. It is the one cutter, for raw video files and container payloads
-alike.
+Raw side: `read_raw` checks concatenated channel-planar frames from raw
+video files and container payloads, then cuts them into Frames with
+`cipher._cut`, the cutter that also slices `process_stream`'s output.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import struct
 
 import numpy as np
 
-from .cipher import Frame, ReseedMode, _check_same_shape
+from .cipher import Frame, ReseedMode, _check_same_shape, _cut
 from .errors import FormatError
 from .keystream import _new_array
 
@@ -192,5 +192,4 @@ def read_raw(data: bytes | memoryview, width: int, height: int, channels: int) -
     view = (view if view.c_contiguous else memoryview(view.tobytes())).cast("B")
     if not view or len(view) % frame_bytes:
         raise FormatError(f"raw data holds {len(view)} bytes, not a positive multiple of {frame_bytes}")
-    return [Frame(width, height, channels, view[i : i + frame_bytes])
-            for i in range(0, len(view), frame_bytes)]
+    return _cut(view, width, height, channels)

@@ -61,6 +61,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import operator
 import os
 import stat
@@ -90,6 +91,26 @@ _TWO_128 = 2.0**128
 _CHUNK = 16384
 
 
+def _real(value, name: str) -> float:
+    """`value` as a Python float, so both kernels iterate it in binary64: a
+    numpy float32 would run the oracle in single precision."""
+    if isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):  # an int or Fraction past binary64
+            return float(value)
+    raise RangeError(f"{name} must be a real number that a float can hold, got {value!r}")
+
+
+def _natural(value, name: str) -> int:
+    """`value` as a non-negative Python int, which never wraps as a numpy integer can."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise RangeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise RangeError(f"{name} must not be negative, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class KeyMaterial:
     """Cipher key: control parameter, initial state, burn-in count."""
@@ -99,6 +120,8 @@ class KeyMaterial:
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", _real(self.mu, "mu"))
+        object.__setattr__(self, "x0", _real(self.x0, "x0"))
         if not MU_MIN < self.mu < MU_MAX:
             raise RangeError(
                 f"mu must lie in the open interval ({MU_MIN}, {MU_MAX}), got {self.mu!r}"
@@ -109,11 +132,8 @@ class KeyMaterial:
             raise FixedPointError(
                 f"x0 = 1 - 1/mu = {self.x0!r} is a fixed point and would yield a constant keystream"
             )
-        try:  # a Python int from here on, so numpy integers never reach states
-            object.__setattr__(self, "burn_in", operator.index(self.burn_in))
-        except TypeError:
-            raise RangeError(f"burn_in must be an integer, got {self.burn_in!r}") from None
-        if not 0 <= self.burn_in < 2**63:
+        object.__setattr__(self, "burn_in", _natural(self.burn_in, "burn_in"))
+        if self.burn_in >= 2**63:
             raise RangeError(f"burn_in must lie in [0, 2**63), got {self.burn_in!r}")
 
 
@@ -124,7 +144,8 @@ class KeystreamState:
     States are plain values: advancing returns a new state, so a state can
     be handed between execution contexts but never mutates under anyone.
     Only x in [0, 1] and mu in [0, 4] are states (NaN is neither); the map
-    never leaves that domain, and the native kernel relies on it.
+    never leaves that domain, and the native kernel relies on it. x and mu
+    are kept as Python floats and n as a non-negative Python int.
     """
 
     x: float
@@ -132,6 +153,9 @@ class KeystreamState:
     n: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "x", _real(self.x, "x"))
+        object.__setattr__(self, "mu", _real(self.mu, "mu"))
+        object.__setattr__(self, "n", _natural(self.n, "n"))
         if not (0.0 <= self.x <= 1.0 and 0.0 <= self.mu <= 4.0):
             raise RangeError(
                 f"a state needs 0 <= x <= 1 and 0 <= mu <= 4, got x={self.x!r}, mu={self.mu!r}"

@@ -26,7 +26,7 @@ from chaospip import (
     transform_plane,
     write_pnm,
 )
-from chaospip import cipher
+from chaospip import cipher, keystream
 from chaospip.cipher import PER_FRAME_STRIDE
 
 from refcipher import reference_transform
@@ -230,6 +230,25 @@ def test_stream_rejects_an_unknown_reseed_mode(frames):
 def test_continuous_single_frame_equals_encrypt_image(make_frame):
     frame = make_frame(np.random.default_rng(9), 10, 6, 1)
     assert process_stream([frame], KEY, ReseedMode.CONTINUOUS) == [encrypt_image(frame, KEY)]
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "python"])
+def test_one_frame_batch_keeps_the_masks_own_bytes(monkeypatch, make_frame, kernel):
+    # A 320x240 gray frame exceeds a batch, so each batch is one frame, and
+    # cutting the mask's output must not copy it.
+    if kernel == "python":
+        monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
+    masks, mask = [], keystream._mask
+
+    def recording(*args):
+        masks.append(mask(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(keystream, "_mask", recording)
+    frame = make_frame(np.random.default_rng(24), 320, 240, 1)
+    assert process_stream([frame], KEY)[0].data is masks[-1]
+    assert encrypt_image(frame, KEY).data is masks[-1]
+    assert len(masks) == 2
 
 
 def test_continuous_keystream_spans_frames(make_frame):

@@ -90,6 +90,56 @@ def test_numpy_integer_burn_in_is_stored_as_int(burn_in):
     assert type(seed(key).n) is int
 
 
+REAL_KINDS = [np.float16, np.float32, np.float64, np.longdouble, Fraction]
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "python"])
+@pytest.mark.parametrize("kind", REAL_KINDS, ids=lambda kind: kind.__name__)
+def test_key_and_state_values_iterate_as_python_floats(monkeypatch, kernel, kind):
+    # A numpy float32 mu used to run the oracle in single precision while
+    # ctypes handed C its binary64 value, so the ciphertext hung on the kernel.
+    if kernel == "python":
+        monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
+    if kind is Fraction:
+        mu, x0 = Fraction(393, 100), Fraction(41, 100)
+    else:
+        mu, x0 = kind(3.93), kind(0.41)
+    key = KeyMaterial(mu=mu, x0=x0, burn_in=40)
+    plain = KeyMaterial(mu=float(mu), x0=float(x0), burn_in=40)
+    assert type(key.mu) is type(key.x0) is float
+    assert seed(key) == seed(plain)
+    assert take_bytes(seed(key), 4096) == take_bytes(seed(plain), 4096)
+    state = KeystreamState(x=x0, mu=mu, n=7)
+    assert type(state.x) is type(state.mu) is float
+    assert take_bytes(state, 4096) == take_bytes(KeystreamState(float(x0), float(mu), 7), 4096)
+
+
+@pytest.mark.parametrize("bad", ["3.9", b"3.9", None, 3.9j, np.array(3.9), 10**400],
+                         ids=["str", "bytes", "none", "complex", "array", "huge"])
+def test_key_and_state_values_that_are_not_real_floats_rejected(bad):
+    for make in (lambda: KeyMaterial(mu=bad, x0=0.4), lambda: KeyMaterial(mu=3.9, x0=bad),
+                 lambda: KeystreamState(x=bad, mu=3.9), lambda: KeystreamState(x=0.4, mu=bad)):
+        with pytest.raises(RangeError):
+            make()
+
+
+@pytest.mark.parametrize("n,count", [(np.int64(2**63 - 1), 2), (np.uint64(2**64 - 3), 4),
+                                     (np.uint8(255), 3)])
+def test_numpy_integer_counter_is_stored_as_int(n, count):
+    # A numpy counter used to overflow in `n + count` after the kernel ran.
+    state = KeystreamState(x=0.4, mu=3.9, n=n)
+    assert type(state.n) is int
+    keys, after = take_bytes(state, count)
+    assert (keys, after) == take_bytes(KeystreamState(x=0.4, mu=3.9, n=int(n)), count)
+    assert after.n == int(n) + count
+
+
+@pytest.mark.parametrize("n", [1.0, -1, "3", None])
+def test_non_integer_or_negative_counter_rejected(n):
+    with pytest.raises(RangeError):
+        KeystreamState(x=0.4, mu=3.9, n=n)
+
+
 def test_fixed_point_seed_rejected():
     fixed = 1.0 - 1.0 / 3.934
     with pytest.raises(FixedPointError):

@@ -25,3 +25,7 @@ def test_every_public_name_resolves():
 
 def test_inverse_permute_is_forward_permute():
     assert chaospip.inverse_permute is chaospip.forward_permute
+
+
+def test_decrypt_image_is_encrypt_image():
+    assert chaospip.decrypt_image is chaospip.encrypt_image
