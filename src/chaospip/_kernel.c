@@ -96,8 +96,8 @@ static uint64_t load64(const uint8_t *p)
  * key window at key + stride * i: each full 8-byte block from the frame's
  * start with the window's block bit-transposed, two blocks per step and an
  * odd one alone, a final partial block with the window as is.
- * The caller sizes key to stride * (n - 1) + frame_bytes and out to
- * n * frame_bytes. */
+ * Key holds stride * (n - 1) + frame_bytes bytes (keystream._windows, in
+ * Python ints) and out n * frame_bytes. */
 void chaospip_mask(const uint8_t *key, const uint8_t *data, int64_t n, int64_t frame_bytes,
                    int64_t stride, uint8_t *out)
 {

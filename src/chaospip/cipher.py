@@ -139,19 +139,15 @@ def transform_plane(
     final partial block is XOR-ed with the keystream as drawn. Returns the
     output and the state `stride * n` iterates past `state`, where frame n
     would start. `frame_bytes` must divide len(data) and `stride` be
-    positive. By default `data` is one frame, and `stride` is
-    `frame_bytes`, which keys frames back to back as one keystream.
+    positive; numpy integers are used exactly (`keystream._windows`). By
+    default `data` is one frame and `stride` is `frame_bytes`: back to back.
     """
     data = memoryview(data).cast("B")  # lengths count bytes, whatever the item format
     frame_bytes = len(data) if frame_bytes is None else frame_bytes
     stride = frame_bytes if stride is None else stride
     if not data:
         return b"", state
-    if frame_bytes < 1 or len(data) % frame_bytes or stride < 1:
-        raise ValueError(f"cannot cut {len(data)} bytes into frames of {frame_bytes} bytes "
-                         f"keyed {stride} iterates apart")
-    n = len(data) // frame_bytes
-    span, end = stride * (n - 1) + frame_bytes, stride * n
+    frame_bytes, stride, span, end = keystream._windows(len(data), frame_bytes, stride)
     key, after = keystream.take_bytes(state, span)
     if end < span:  # the windows overlap, so frame n starts inside the last one
         after = keystream.skip(state, end)

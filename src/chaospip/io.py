@@ -30,6 +30,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Iterable
 
+import operator
 import re
 import struct
 
@@ -184,6 +185,7 @@ def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]
 
 def read_raw(data: bytes | memoryview, width: int, height: int, channels: int) -> list[Frame]:
     """Cut concatenated channel-planar frames into Frames, one copy each."""
+    width, height, channels = map(operator.index, (width, height, channels))  # no numpy wrap
     if width < 1 or height < 1 or channels not in (1, 3):
         raise FormatError(f"bad raw geometry {width}x{height}x{channels}")
     frame_bytes = width * height * channels

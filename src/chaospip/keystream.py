@@ -48,11 +48,12 @@ probe, and the oracle, numpy itself, runs instead.
 
 The C loops need x in [0, 1], mu in [0, 4] and counts below 2**63, and
 these hold by construction: `KeystreamState` refuses other states, the
-binary64 map keeps [0, 1] invariant for such mu, and every reader of map
-states refuses larger counts, which no kernel could finish anyway. The
-mask loop indexes its buffers unchecked; `_mask` refuses any geometry they
-do not fit, and `_moments` hands C only two contiguous byte arrays of one
-length, and a (2, 256) int64 array it made for the counts.
+binary64 map keeps [0, 1] invariant for such mu, and readers of map states
+refuse larger counts. Sizes become Python ints (`_check_count`, `_windows`)
+before any arithmetic, so no numpy type wraps them. The mask loop indexes
+its buffers unchecked; `_mask` refuses any geometry they do not fit, and
+`_moments` hands C only two contiguous byte arrays of one length, and a
+(2, 256) int64 array it made for the counts.
 """
 
 from __future__ import annotations
@@ -236,11 +237,12 @@ def next_key_byte(state: KeystreamState) -> tuple[int, KeystreamState]:
     return key[0], state
 
 
-def _check_count(count: int) -> None:
-    """Refuse counts outside [0, 2**63): C counts iterates in int64, and
-    ctypes wraps larger integers without an error."""
-    if not 0 <= operator.index(count) < 2**63:
+def _check_count(count: int) -> int:
+    """`count` as a Python int, refused outside [0, 2**63): C counts iterates
+    in int64, and ctypes wraps larger integers without an error."""
+    if not 0 <= (count := operator.index(count)) < 2**63:
         raise ValueError(f"count must lie in [0, 2**63), got {count!r}")
+    return count
 
 
 def skip(state: KeystreamState, count: int) -> KeystreamState:
@@ -250,16 +252,29 @@ def skip(state: KeystreamState, count: int) -> KeystreamState:
 
 def take_bytes(state: KeystreamState, count: int) -> tuple[bytes, KeystreamState]:
     """`count` key bytes at once; identical to `count` next_key_byte calls."""
-    _check_count(count)
+    count = _check_count(count)
     keys, x = _loaded().bytes(state.x, state.mu, state.n & 0xFF, count)
     return keys, KeystreamState(x=x, mu=state.mu, n=state.n + count)
 
 
 def _bins(state: KeystreamState, count: int, bins: int) -> tuple[np.ndarray, KeystreamState]:
     """Counts of the next `count` states in `bins` bins of [0, 1], and the state after."""
-    _check_count(count)
+    count = _check_count(count)
     counts, x = _loaded().bins(state.x, state.mu, count, bins)
     return counts, KeystreamState(x=x, mu=state.mu, n=state.n + count)
+
+
+def _windows(size: int, frame_bytes: int, stride: int) -> tuple[int, int, int, int]:
+    """Python ints `frame_bytes`, `stride`, span and end of n = size // frame_bytes frames
+    keyed `stride` apart: frame i by key[stride * i : stride * i + frame_bytes], so the
+    windows span stride * (n - 1) + frame_bytes key bytes and frame n starts at stride * n.
+    Refuses a `size` that is not n >= 1 whole frames, or a `stride` below 1."""
+    frame_bytes, stride = operator.index(frame_bytes), operator.index(stride)
+    if size < 1 or frame_bytes < 1 or size % frame_bytes or stride < 1:
+        raise ValueError(f"cannot cut {size} bytes into frames of {frame_bytes} bytes "
+                         f"keyed {stride} iterates apart")
+    n = size // frame_bytes
+    return frame_bytes, stride, stride * (n - 1) + frame_bytes, stride * n
 
 
 def _mask(key, data, frame_bytes: int, stride: int) -> bytes:
@@ -268,16 +283,13 @@ def _mask(key, data, frame_bytes: int, stride: int) -> bytes:
 
     Full 8-byte blocks align to the frame's start; a partial tail is XOR-ed
     untransposed. `key` and `data` are bytes-like, and the geometry must
-    hold exactly: n >= 1, len(data) == n * frame_bytes and
-    len(key) == stride * (n - 1) + frame_bytes, else C would read or write
-    out of bounds.
+    hold exactly: `_windows` of len(data) must accept it, and len(key) must
+    be its span, else C would read or write out of bounds.
     """
     key, data = np.frombuffer(key, dtype=np.uint8), np.frombuffer(data, dtype=np.uint8)
-    n = len(data) // frame_bytes if frame_bytes >= 1 else 0
-    if n < 1 or stride < 1 or len(data) != n * frame_bytes or \
-            len(key) != stride * (n - 1) + frame_bytes:
-        raise ValueError(f"cannot mask {len(data)} bytes as frames of {frame_bytes} bytes with "
-                         f"{len(key)} key bytes {stride} apart")
+    frame_bytes, stride, span, _end = _windows(len(data), frame_bytes, stride)
+    if len(key) != span:
+        raise ValueError(f"frames {stride} apart need a key of {span} bytes, got {len(key)}")
     return _loaded().mask(key, data, frame_bytes, stride)
 
 
@@ -578,8 +590,8 @@ def _agrees(kernel: _Kernel) -> bool:
         counts, end = k.bins(x, mu, count, bins)
         keys, _ = k.bytes(x, mu, 7, count)
         key = np.frombuffer(keys, dtype=np.uint8)
-        masks = [k.mask(key[:stride * (n - 1) + size], key[::-1][:size * n].copy(), size, stride)
-                 for size, stride, n in geometries]
+        masks = [k.mask(key[:_windows(size * n, size, stride)[2]], key[::-1][:size * n].copy(),
+                        size, stride) for size, stride, n in geometries]
         moments = []
         for n in (8, 1000):  # plane b differs from a in its counts, too
             sums, pair_counts = k.moments(key[1:n], key[1:n][::-1] >> 1)

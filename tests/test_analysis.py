@@ -302,6 +302,22 @@ def test_key_sensitivity_averages_rgb_channels():
     assert key_sensitivity(frame, a, b) == pytest.approx(np.mean(per_channel), abs=0)
 
 
+@pytest.mark.parametrize("kernel", ["loaded", "python"])
+@pytest.mark.parametrize("frame", [synthetic_gray(37, 29, 7.1, seed=33),
+                                   synthetic_rgb(41, 23, 7.0, seed=34)], ids=["gray", "rgb"])
+def test_key_sensitivity_is_compare_frames_correlation(monkeypatch, kernel, frame):
+    # One per-channel pass gives the paper's three claims; it must equal the
+    # mean of corr2d over each channel's planes, bit for bit.
+    if kernel == "python":
+        monkeypatch.setattr(analysis.keystream, "_loaded", lambda: analysis.keystream._PYTHON)
+    a = KeyMaterial(mu=3.934, x0=0.41, burn_in=20)
+    b = KeyMaterial(mu=3.934, x0=0.42, burn_in=20)
+    ca, cb = encrypt_image(frame, a), encrypt_image(frame, b)
+    per_channel = [corr2d(ca.plane(c), cb.plane(c)) for c in range(frame.channels)]
+    got = key_sensitivity(frame, a, b)
+    assert got.hex() == float(np.mean(per_channel)).hex() == compare_frames(ca, cb).corr.hex()
+
+
 # ---------------------------------------------------------------- keystream histogram
 
 

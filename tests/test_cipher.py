@@ -392,6 +392,37 @@ def test_plane_reads_any_contiguous_byte_buffer(frame_bytes, stride):
         assert got == want
 
 
+NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "python"])
+@pytest.mark.parametrize("kind", NUMPY_INTEGERS, ids=lambda kind: kind.__name__)
+def test_plane_uses_numpy_integer_sizes_exactly(monkeypatch, kernel, kind):
+    # In a narrow type, 3 frames of 64 bytes 100 apart used to wrap the key
+    # span of 264 (uint8: 8), so the mask read past its key and the state
+    # landed at the wrong iterate.
+    if kernel == "python":
+        monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
+    data = bytes(range(64)) * 3
+    for frame_bytes, stride in [(64, 100), (64, 17), (64, 64), (32, 127)]:
+        want = transform_plane(data, seed(KEY), frame_bytes, stride)
+        assert transform_plane(data, seed(KEY), kind(frame_bytes), kind(stride)) == want
+        assert transform_plane(data, seed(KEY), kind(frame_bytes)) == \
+            transform_plane(data, seed(KEY), frame_bytes)
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "python"])
+def test_plane_repro_with_uint8_sizes(monkeypatch, kernel):
+    # uint8 200 * 2 + 64 wrapped to a 208-byte key and a state at n = 88.
+    if kernel == "python":
+        monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
+    state = seed(KeyMaterial(3.9, 0.4, burn_in=0))
+    out, after = transform_plane(bytes(192), state, np.uint8(64), np.uint8(200))
+    assert (out, after) == transform_plane(bytes(192), state, 64, 200)
+    assert len(out) == 192 and after.n == 600
+
+
 @pytest.mark.parametrize("frame_bytes,stride", [(0, 1), (7, 7), (10, 0), (10, -3)])
 def test_plane_rejects_frames_that_do_not_tile(frame_bytes, stride):
     with pytest.raises(ValueError):

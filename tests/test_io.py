@@ -151,6 +151,16 @@ def test_read_raw_counts_bytes_whatever_the_item_format():
         read_raw(memoryview(array("I", range(5))), 4, 4, 1)  # 20 bytes
 
 
+def test_read_raw_sizes_numpy_dimensions_exactly():
+    # uint8 200 * 200 used to wrap to 64: OverflowError or ValueError, not frames.
+    size = np.uint8(200)
+    frames = read_raw(bytes(range(200)) * 200, size, size, np.uint8(1))
+    assert frames == [Frame(200, 200, 1, bytes(range(200)) * 200)]
+    assert type(frames[0].width) is int
+    with pytest.raises(FormatError):
+        read_raw(bytes(128), size, size, 1)
+
+
 @pytest.mark.parametrize("reseed", list(ReseedMode))
 def test_write_container_reads_a_reseed_value_as_its_mode(reseed):
     frames = [Frame(2, 2, 1, bytes(4))] * 2

@@ -134,6 +134,25 @@ def test_numpy_integer_counter_is_stored_as_int(n, count):
     assert after.n == int(n) + count
 
 
+NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "python"])
+@pytest.mark.parametrize("kind", NUMPY_INTEGERS, ids=lambda kind: kind.__name__)
+def test_numpy_integer_counts_advance_the_counter_exactly(monkeypatch, kernel, kind):
+    # `n + count` used to take the count's type: 100 + uint8 200 wrapped to 44,
+    # so every later key byte was whitened with the wrong counter.
+    if kernel == "python":
+        monkeypatch.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
+    for n in (100, int(np.iinfo(kind).max), 2**64 + 1):
+        state = KeystreamState(x=0.4, mu=3.9, n=n)
+        keys, after = take_bytes(state, kind(100))
+        assert (keys, after) == take_bytes(state, 100)
+        assert type(after.n) is int and after.n == n + 100
+        assert skip(state, kind(100)) == skip(state, 100) == after
+
+
 @pytest.mark.parametrize("n", [1.0, -1, "3", None])
 def test_non_integer_or_negative_counter_rejected(n):
     with pytest.raises(RangeError):

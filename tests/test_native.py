@@ -171,7 +171,11 @@ def test_zero_bins_never_reach_c():
      (10, 20, 10, 0),   # stride 0
      (7, 20, 10, -3),   # negative stride, key sized to match
      (20, 20, 0, 1),    # empty frames
-     (26, 20, 10, 17)],  # key one byte too short
+     (26, 20, 10, 17),  # key one byte too short
+     # Key spans that wrap in the caller's type (464, 65544, 4294967302):
+     (208, 192, np.uint8(64), np.uint8(200)),
+     (8, 24, np.uint16(8), np.uint16(32768)),
+     (6, 24, np.int32(8), np.int32(2**31 - 1))],
 )
 def test_bad_mask_geometry_never_reaches_c(counting_lib, key_len, data_len, frame_bytes, stride):
     # C reads key[stride * i + j] and data[frame_bytes * i + j] unchecked.
@@ -180,6 +184,13 @@ def test_bad_mask_geometry_never_reaches_c(counting_lib, key_len, data_len, fram
     assert counting_lib.calls == []
     keystream._mask(bytes(27), bytes(20), 10, 17)
     assert counting_lib.calls == [(2, 10, 17)]
+
+
+def test_mask_hands_c_python_int_sizes(counting_lib):
+    # ctypes converts a numpy size exactly; the checks before it must too.
+    keystream._mask(bytes(27), bytes(20), np.uint8(10), np.uint8(17))
+    assert counting_lib.calls == [(2, 10, 17)]
+    assert all(type(size) is int for size in counting_lib.calls[0])
 
 
 def test_moments_hand_c_equal_byte_pairs_only(counting_lib):
