@@ -21,7 +21,7 @@ from .keystream import KeyMaterial
 
 def _as_array(data) -> np.ndarray:
     if isinstance(data, (bytes, bytearray, memoryview)):
-        return np.frombuffer(data, dtype=np.uint8)
+        data = keystream._view(data)
     return np.asarray(data)
 
 

@@ -129,7 +129,7 @@ def process_block(block, key_bytes) -> bytes:
 def transform_plane(
     data: bytes, state: KeystreamState, frame_bytes: int | None = None, stride: int | None = None
 ) -> tuple[bytes, KeystreamState]:
-    """Encrypt/decrypt `data` as n = len(data) // frame_bytes consecutive frames.
+    """Encrypt/decrypt `data`, any bytes-like object, as n = len(data) // frame_bytes frames.
 
     Frame i is keyed by take_bytes(skip(state, stride * i), frame_bytes),
     which is the window [stride * i, stride * i + frame_bytes) of
@@ -142,7 +142,7 @@ def transform_plane(
     positive; numpy integers are used exactly (`keystream._windows`). By
     default `data` is one frame and `stride` is `frame_bytes`: back to back.
     """
-    data = memoryview(data).cast("B")  # lengths count bytes, whatever the item format
+    data = keystream._view(data)
     frame_bytes = len(data) if frame_bytes is None else frame_bytes
     stride = frame_bytes if stride is None else stride
     if not data:

@@ -1,4 +1,4 @@
-"""Image and container serialization.
+"""Image and container serialization; the readers take any bytes-like object.
 
 PNM side: binary PGM (P5) and PPM (P6) with maxval 255. The header is
 the magic, then width, height and maxval in ASCII decimal, each after
@@ -38,7 +38,7 @@ import numpy as np
 
 from .cipher import Frame, ReseedMode, _check_same_shape, _cut
 from .errors import FormatError
-from .keystream import _new_array
+from .keystream import _new_array, _view
 
 MAGIC = b"CPIP"
 VERSION = 1
@@ -79,8 +79,8 @@ def container_mode_for(channels: int, video: bool) -> ContainerMode:
 
 
 def read_pnm(data: bytes) -> Frame:
-    """Parse a binary PGM/PPM into a Frame (PPM becomes planar)."""
-    data = memoryview(data)  # the payload is read in place, not sliced off as a copy
+    """Parse a binary PGM/PPM, any bytes-like object, into a Frame (PPM becomes planar)."""
+    data = _view(data)  # the payload is read in place, not sliced off as a copy
     magic = data[:2].tobytes()
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"not a binary PGM/PPM file (magic {magic!r})")
@@ -158,7 +158,8 @@ def _container_parts(frames: Iterable[Frame], mode: ContainerMode, reseed: Resee
 
 
 def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]:
-    """Parse and validate a container, returning its frames and modes."""
+    """Parse and validate a container, any bytes-like object, returning its frames and modes."""
+    data = _view(data)
     if len(data) < HEADER_SIZE:
         raise FormatError("container shorter than its header")
     magic, version, mode_b, reseed_b, reserved, width, height, count = _HEADER.unpack_from(data)
@@ -180,18 +181,16 @@ def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]
     expected = HEADER_SIZE + count * width * height * mode.channels
     if len(data) != expected:
         raise FormatError(f"payload length {len(data) - HEADER_SIZE}, expected {expected - HEADER_SIZE}")
-    return read_raw(memoryview(data)[HEADER_SIZE:], width, height, mode.channels), mode, reseed
+    return read_raw(data[HEADER_SIZE:], width, height, mode.channels), mode, reseed
 
 
 def read_raw(data: bytes | memoryview, width: int, height: int, channels: int) -> list[Frame]:
-    """Cut concatenated channel-planar frames into Frames, one copy each."""
+    """Cut concatenated channel-planar frames, any bytes-like object, into Frames, one copy each."""
     width, height, channels = map(operator.index, (width, height, channels))  # no numpy wrap
     if width < 1 or height < 1 or channels not in (1, 3):
         raise FormatError(f"bad raw geometry {width}x{height}x{channels}")
     frame_bytes = width * height * channels
-    view = memoryview(data)
-    # Lengths count bytes, whatever the item format; a strided view is copied first.
-    view = (view if view.c_contiguous else memoryview(view.tobytes())).cast("B")
+    view = _view(data)
     if not view or len(view) % frame_bytes:
         raise FormatError(f"raw data holds {len(view)} bytes, not a positive multiple of {frame_bytes}")
     return _cut(view, width, height, channels)

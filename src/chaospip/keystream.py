@@ -34,7 +34,8 @@ compiled on first use with `cc -O2 -ffp-contract=off -shared -fPIC` into a
 per-user cache directory and loaded through ctypes. Both kernels write
 their key bytes and masks, and `io` its PNM conversions, straight into
 new bytes objects from `_new_bytes`, so a frame-sized result is never
-copied out of a numpy buffer. The native kernel must match
+copied out of a numpy buffer. Every bytes-like input is read through
+`_view`, one flat memoryview of its bytes. The native kernel must match
 the oracle bit for bit, so the compiler may not change a single rounding:
 `-ffp-contract=off` forbids fused multiply-adds, which round once where
 Python rounds twice, and `-ffast-math`, `-march=native` and any other flag
@@ -198,12 +199,12 @@ def derive_key_from_params(mu: str, x0: str, burn_in: int = DEFAULT_BURN_IN) -> 
 def derive_key_from_hex(key_hex: str) -> KeyMaterial:
     """Map a 256-bit hex key onto (mu, x0).
 
-    The high 128 bits select mu = 3.9 + 0.1 * k1 / 2^128 and the low 128
-    bits select x0 = (k2 + 1) / (2^128 + 2); both are evaluated in binary64
-    after converting the integers to reals. At the extreme top of the key
-    space the rounded results land exactly on the excluded endpoints
-    (mu = 4.0, x0 = 1.0), so they are pulled back by one ulp to keep every
-    64-digit key valid.
+    The high 128 bits select mu = 3.9 + 0.1 * k1 / 2^128 and the low 128 bits
+    select x0 = (k2 + 1) / (2^128 + 2); both are evaluated in binary64 after
+    converting the integers to reals, where 2^128 + 2 rounds to 2^128, so
+    the "+ 2" has no effect. At the extreme top of the key space the
+    rounded results land exactly on the excluded endpoints (mu = 4.0,
+    x0 = 1.0), so they are pulled back by one ulp to keep every 64-digit key valid.
     """
     if len(key_hex) != 64 or not all(c in string.hexdigits for c in key_hex):
         raise ParseError("key must be exactly 64 hex digits")
@@ -455,6 +456,13 @@ def _new_array(size: int) -> tuple[bytes, np.ndarray]:
     of a native call on a 64 KiB batch."""
     out, address = _new_bytes(size)
     return out, np.frombuffer((ctypes.c_char * size).from_address(address), dtype=np.uint8)
+
+
+def _view(data) -> memoryview:
+    """`data`, any bytes-like object, as a flat, C-contiguous memoryview of unsigned
+    bytes. Lengths count bytes, whatever the item format; a strided view is copied once."""
+    view = memoryview(data)
+    return (view if view.c_contiguous else memoryview(view.tobytes())).cast("B")
 
 
 def _native_kernel(lib) -> _Kernel:

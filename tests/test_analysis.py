@@ -332,6 +332,13 @@ def test_keystream_histogram_conserves_iterations():
     assert keystream_histogram(key, 10_000, 100).sum() == 10_000
 
 
+def test_keystream_histogram_needs_one_iteration_per_bin():
+    key = KeyMaterial(mu=3.934, x0=0.5250)
+    with pytest.raises(ValueError):
+        keystream_histogram(key, 99, 100)
+    assert keystream_histogram(key, 100, 100).sum() == 100
+
+
 def test_keystream_histogram_preconditions():
     key = KeyMaterial(mu=3.934, x0=0.5250)
     with pytest.raises(ValueError):

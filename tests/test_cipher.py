@@ -353,6 +353,20 @@ def test_stream_matches_reference_across_batches(make_frame, mode, side):
     assert_frames_match_reference(frames, KEY, mode)
 
 
+def test_per_frame_stream_matches_reference_across_a_batch_seam_of_one_iterate():
+    # 3x6 gray frames are 18 bytes, one more than PER_FRAME_STRIDE, so a
+    # batch's last window ends one iterate after the next batch's first
+    # frame starts. 3,642 frames make a batch of 3,640 and one of 2.
+    rng = np.random.default_rng(17)
+    per_batch = cipher._BATCH_BYTES // 18
+    frames = [Frame(3, 6, 1, rng.integers(0, 256, 18, dtype=np.uint8).tobytes())
+              for _ in range(per_batch + 2)]
+    out = process_stream(frames, KEY, ReseedMode.PER_FRAME)
+    for i in range(per_batch - 1, per_batch + 2):
+        assert out[i].data == reference_transform(frames[i].data, KEY.mu, KEY.x0,
+                                                  KEY.burn_in + PER_FRAME_STRIDE * i), i
+
+
 @pytest.mark.parametrize("mode", list(ReseedMode))
 def test_every_stream_byte_goes_through_one_transform_plane_call_per_batch(
         monkeypatch, make_frame, mode):
@@ -377,6 +391,17 @@ def test_batched_plane_state_lands_where_the_next_frame_starts():
     for stride in (1, 17, 30, 45):
         _, state = transform_plane(data, seed(KEY), 30, stride)
         assert state == skip(seed(KEY), 20 * stride)
+
+
+@pytest.mark.parametrize("stride", [8, PER_FRAME_STRIDE])
+def test_plane_state_lands_where_the_next_frame_starts_at_the_seam(stride):
+    # Windows with a gap of one, back to back, and overlapping by one: there
+    # frame n starts one iterate before the draw ends, so the state comes
+    # from a skip, not from the draw.
+    for frame_bytes in (stride - 1, stride, stride + 1):
+        for n in range(1, 5):
+            _, state = transform_plane(bytes(frame_bytes * n), seed(KEY), frame_bytes, stride)
+            assert state == skip(seed(KEY), stride * n), (frame_bytes, n)
 
 
 @pytest.mark.parametrize("frame_bytes,stride", [(None, None), (21, 17), (105, 200)])

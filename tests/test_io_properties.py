@@ -1,5 +1,6 @@
 """Property tests: the parsers return frames or raise FormatError, nothing else,
-the PNM reader accepts every header its grammar allows, and the PNM layer's
+and the same for a strided view of their input as for its bytes; the PNM
+reader accepts every header its grammar allows, and the PNM layer's
 interleaving matches plain numpy transposes."""
 
 import numpy as np
@@ -69,11 +70,27 @@ _container_inputs = st.one_of(
 )
 
 
-def _parsed_or_none(parse, *args):
+def _strided(blob: bytes) -> memoryview:
+    """A view of every other byte of a buffer twice as long, which holds `blob` there."""
+    spread = bytearray(2 * len(blob))
+    spread[::2] = blob
+    return memoryview(spread)[::2]
+
+
+def _outcome(parse, data, *args):
+    """`parse(data, *args)` and None, or None and the FormatError's message."""
     try:
-        return parse(*args)
-    except FormatError:
-        return None
+        return parse(data, *args), None
+    except FormatError as exc:
+        return None, str(exc)
+
+
+def _parsed_or_none(parse, blob, *args):
+    """`parse(blob, *args)`, or None on a FormatError. A strided view of
+    `blob` must give the same result, or a FormatError with the same message."""
+    result, error = _outcome(parse, blob, *args)
+    assert _outcome(parse, _strided(blob), *args) == (result, error)
+    return result
 
 
 @SETTINGS

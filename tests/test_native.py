@@ -470,6 +470,18 @@ def test_map_keeps_the_domain_near_the_peak(monkeypatch):
         assert state == state_oracle == KeystreamState(x=x, mu=4.0, n=5 + count)
 
 
+@native_only
+def test_one_long_count_equals_two_calls_that_split_it():
+    # Past the load probe's 1,000 iterates and every other test's counts: a
+    # kernel that miscounted only far into a call would pass them all.
+    state = seed(KeyMaterial(mu=3.934, x0=0.5250))
+    counts, end = keystream._bins(state, 5_000_001, 97)
+    first, middle = keystream._bins(state, 2_500_000, 97)
+    second, split_end = keystream._bins(middle, 2_500_001, 97)
+    assert (first + second).tolist() == counts.tolist()
+    assert split_end == end and end.n == state.n + 5_000_001
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 def test_compiler_on_path_means_native_backend():
     # A broken build would fall back silently and lose the speed-up.
