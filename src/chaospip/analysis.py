@@ -167,14 +167,8 @@ def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
     # per-channel metrics are built for RGB only.
     per = None
     if plain.channels == 3:
-        per = [
-            ChannelMetrics(
-                entropy_plain=entropy_of_counts(hp),
-                entropy_cipher=entropy_of_counts(hc),
-                corr=corr,
-            )
-            for (hp, hc), corr in zip(counts, corrs)
-        ]
+        per = [ChannelMetrics(entropy_of_counts(hp), entropy_of_counts(hc), corr)
+               for (hp, hc), corr in zip(counts, corrs)]
     # One tuple of 256 counts per channel, for each side.
     hist_plain, hist_cipher = zip(*(map(tuple, c.tolist()) for c in counts))
     return MetricsReport(

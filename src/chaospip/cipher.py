@@ -93,7 +93,7 @@ class Frame:
 
     def plane(self, channel: int) -> bytes:
         """Bytes of one channel plane."""
-        if not 0 <= channel < self.channels:
+        if not 0 <= (channel := operator.index(channel)) < self.channels:  # uint8 3 * 100 wraps
             raise IndexError(f"channel {channel} out of range for {self.channels}-channel frame")
         size = len(self.data) // operator.index(self.channels)  # no numpy product to wrap
         return self.data[channel * size : (channel + 1) * size]
@@ -106,10 +106,10 @@ def _cut(data, width: int, height: int, channels: int) -> list[Frame]:
 
 
 def _block(data) -> bytes:
-    """`data` as bytes, refused unless it holds exactly one block."""
-    if len(data) != BLOCK_SIZE:
+    """`data` as bytes, refused unless it holds exactly one block: 8 items, 8 bytes."""
+    if len(data) != BLOCK_SIZE or len(data := bytes(data)) != BLOCK_SIZE:  # items wider than a byte
         raise ValueError(f"a block holds exactly {BLOCK_SIZE} bytes, got {len(data)}")
-    return bytes(data)
+    return data
 
 
 def forward_permute(block) -> bytes:
@@ -148,12 +148,10 @@ def transform_plane(
     if not data:
         return b"", state
     frame_bytes, stride, span, end = keystream._windows(len(data), frame_bytes, stride)
-    key, after = keystream.take_bytes(state, span)
+    key, after = keystream.take_bytes(state, max(span, end))  # key[:span] is key when span >= end
     if end < span:  # the windows overlap, so frame n starts inside the last one
         after = keystream.skip(state, end)
-    elif end > span:
-        after = keystream.skip(after, end - span)
-    return keystream._mask(key, data, frame_bytes, stride), after
+    return keystream._mask(key[:span], data, frame_bytes, stride), after
 
 
 def encrypt_image(frame: Frame, key: KeyMaterial) -> Frame:

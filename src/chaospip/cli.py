@@ -3,13 +3,17 @@
 Exit codes: 0 success, 1 usage error, 2 data/format error (including an
 input too large to allocate), 3 key error.
 Diagnostics go to stderr; data goes to files or stdout only, and key
-material is never written into any output file.
+material is never written into any output file. `_write` writes each output
+whole, through a sibling renamed over the target (so a new file takes default
+permissions); a symlink, FIFO or device such as /dev/stdout is written in place.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -18,7 +22,7 @@ from . import analysis
 from .cipher import Frame, ReseedMode, process_stream
 from .errors import FixedPointError, FormatError, ParseError, RangeError
 from .io import MAGIC, _container_parts, container_mode_for, read_container, read_pnm, read_raw, write_pnm
-from .keystream import DEFAULT_BURN_IN, KeyMaterial, derive_key_from_hex, derive_key_from_params
+from .keystream import DEFAULT_BURN_IN, KeyMaterial, _publish, derive_key_from_hex, derive_key_from_params
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,10 +122,7 @@ def _key_from_args(args: argparse.Namespace) -> KeyMaterial:
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
-    if args.from_hex is not None:
-        key = derive_key_from_hex(args.from_hex)
-    else:
-        key = derive_key_from_hex(secrets.token_hex(32))
+    key = derive_key_from_hex(secrets.token_hex(32) if args.from_hex is None else args.from_hex)
     print(f"mu={key.mu!r} x0={key.x0!r} burn_in={key.burn_in}")
     return EXIT_OK
 
@@ -131,6 +132,15 @@ def _read(path: str) -> bytes:
     9 against 19 us for a 76.8 KB PGM (2-vCPU Xeon, Python 3.11.7)."""
     with open(path, "rb", buffering=0) as file:
         return file.read()
+
+
+def _write(path, parts) -> None:
+    """Write `parts`, bytes-like objects, to `path`: whole through `keystream._publish`,
+    or in place if `path` exists and is not a regular file, or is a symlink."""
+    whole = not os.path.lexists(path) or os.path.isfile(path) and not os.path.islink(path)
+    with _publish(path) if whole else contextlib.nullcontext(path) as target, \
+            open(target, "xb" if whole else "wb") as file:
+        file.writelines(parts)
 
 
 def _load_input_frames(args: argparse.Namespace) -> list[Frame]:
@@ -149,14 +159,12 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     encrypted = process_stream(_load_input_frames(args), key, reseed)
     mode = container_mode_for(encrypted[0].channels, video=len(encrypted) > 1)
     out = Path(args.out)
-    parts = _container_parts(encrypted, mode, reseed)
-    with out.open("wb") as file:  # the frames' own bytes, with no container-sized join
-        file.writelines(parts)
+    _write(out, _container_parts(encrypted, mode, reseed))  # no container-sized join
     if args.as_pnm:
         for i, f in enumerate(encrypted):
             suffix = ".pgm" if f.channels == 1 else ".ppm"
             name = out.name + (suffix if len(encrypted) == 1 else f".frame-{i:06d}{suffix}")
-            out.with_name(name).write_bytes(write_pnm(f))
+            _write(out.with_name(name), [write_pnm(f)])
     print(f"encrypted {len(encrypted)} frame(s) -> {out}", file=sys.stderr)
     return EXIT_OK
 
@@ -169,15 +177,14 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if args.as_pnm:
         if len(decrypted) == 1:
-            out.write_bytes(write_pnm(decrypted[0]))
+            _write(out, [write_pnm(decrypted[0])])
         else:
             out.mkdir(parents=True, exist_ok=True)
             suffix = ".pgm" if decrypted[0].channels == 1 else ".ppm"
             for i, f in enumerate(decrypted):
-                (out / f"frame-{i:06d}{suffix}").write_bytes(write_pnm(f))
+                _write(out / f"frame-{i:06d}{suffix}", [write_pnm(f)])
     else:
-        with out.open("wb") as file:
-            file.writelines(f.data for f in decrypted)
+        _write(out, (f.data for f in decrypted))
     print(f"decrypted {len(decrypted)} frame(s) -> {out}", file=sys.stderr)
     return EXIT_OK
 
@@ -201,16 +208,11 @@ def _format_report(report: analysis.MetricsReport) -> str:
     lines = []
     for label, hists in (("plain", report.hist_plain), ("cipher", report.hist_cipher)):
         for c, counts in enumerate(hists):
-            lines.append(f"# histogram {label} channel {c}")
-            lines.append(_HISTOGRAM_ROWS % tuple(counts))
-    lines.append(f"entropy_plain={report.entropy_plain!r}")
-    lines.append(f"entropy_cipher={report.entropy_cipher!r}")
-    lines.append(f"corr={report.corr!r}")
-    if report.channels is not None:
-        for c, m in enumerate(report.channels):
-            lines.append(f"entropy_plain_ch{c}={m.entropy_plain!r}")
-            lines.append(f"entropy_cipher_ch{c}={m.entropy_cipher!r}")
-            lines.append(f"corr_ch{c}={m.corr!r}")
+            lines += [f"# histogram {label} channel {c}", _HISTOGRAM_ROWS % tuple(counts)]
+    # The whole frame's metrics, then each channel's, under the same three names.
+    for tag, m in [("", report), *((f"_ch{c}", m) for c, m in enumerate(report.channels or ()))]:
+        lines += [f"entropy_plain{tag}={m.entropy_plain!r}",
+                  f"entropy_cipher{tag}={m.entropy_cipher!r}", f"corr{tag}={m.corr!r}"]
     return "\n".join(lines) + "\n"
 
 
@@ -219,8 +221,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cipher = _load_cipher_file(args.cipher)
     text = _format_report(analysis.compare_frames(plain, cipher))
     if args.report:
-        with open(args.report, "w") as file:
-            file.write(text)
+        _write(args.report, [text.encode()])
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -231,7 +232,7 @@ def _cmd_keystream_hist(args: argparse.Namespace) -> int:
     counts = analysis.keystream_histogram(key, args.n, args.bins)
     edges = [repr(i / args.bins) for i in range(args.bins + 1)]  # row i spans edges i and i + 1
     rows = map("{},{},{}".format, edges, edges[1:], counts.tolist())
-    Path(args.out).write_text("\n".join(rows) + "\n")
+    _write(args.out, [("\n".join(rows) + "\n").encode()])
     return EXIT_OK
 
 

@@ -81,6 +81,19 @@ def test_frame_planes():
         frame.plane(3)
 
 
+@pytest.mark.parametrize("kind", [np.uint8, np.int8, np.uint16, np.int64])
+@pytest.mark.parametrize("side", [10, 200])
+def test_frame_plane_takes_numpy_channel_indices_without_wrapping(kind, side):
+    # uint8 3 * 100 is 44, and uint8 1 * 40000 overflowed: each index is a
+    # Python int before it is multiplied by a plane of more than 255 bytes.
+    data = np.random.default_rng(side).integers(0, 256, 3 * side * side, dtype=np.uint8).tobytes()
+    frame = Frame(side, side, 3, data)
+    for c in range(3):
+        assert frame.plane(kind(c)) == frame.plane(c) == data[c * side * side:(c + 1) * side * side]
+    with pytest.raises(IndexError):
+        frame.plane(kind(3))
+
+
 # ---------------------------------------------------------------- blocks
 
 
@@ -107,6 +120,32 @@ def test_process_block_zero_plaintext_reveals_unpermuted_key():
 def test_process_block_needs_eight_key_bytes():
     with pytest.raises(ValueError):
         process_block(bytes(8), bytes(7))
+
+
+@pytest.mark.parametrize("dtype, size", [(np.int64, 64), (np.uint16, 16), (np.float64, 64)])
+def test_block_api_counts_bytes_not_items(dtype, size):
+    # Eight items of a wider type used to pass the length check and reach the
+    # mask as their 16 or 64 bytes.
+    wide = np.arange(8, dtype=dtype)
+    for call in (lambda: process_block(wide, bytes(8)), lambda: process_block(bytes(8), wide),
+                 lambda: inverse_permute(wide)):
+        with pytest.raises(ValueError, match=f"a block holds exactly 8 bytes, got {size}"):
+            call()
+
+
+def test_block_api_takes_eight_byte_items():
+    block, key = bytes(range(1, 9)), bytes([0xFF, 0, 0, 0, 0, 0, 0, 0])
+    expected = process_block(block, key)
+    assert process_block(list(block), list(key)) == expected
+    assert process_block(np.frombuffer(block, np.uint8), memoryview(key)) == expected
+    assert inverse_permute(bytearray(key)) == inverse_permute(key)
+    with pytest.raises(ValueError, match="got 2"):
+        inverse_permute(array("I", key))  # 8 bytes, but 2 items
+    for scalar in (8, np.int64(8)):  # neither is 8 zero bytes
+        with pytest.raises(TypeError):
+            inverse_permute(scalar)
+    with pytest.raises(ValueError):
+        process_block([0] * 8, [256] + [0] * 7)
 
 
 # ---------------------------------------------------------------- planes

@@ -258,6 +258,15 @@ def test_step_fixed_point_at_mu_four():
     assert logistic_step(0.75, 4.0) == 0.75
 
 
+@pytest.mark.parametrize("kind", [np.float16, np.float32], ids=lambda kind: kind.__name__)
+def test_step_of_narrow_numpy_floats_runs_in_binary64(kind):
+    # float32 0.3 and 3.9 used to step to float32 0.81900007 in single precision.
+    x, mu = kind(0.3), kind(3.9)
+    stepped = logistic_step(x, mu)
+    assert type(stepped) is float
+    assert stepped == skip(KeystreamState(x, mu), 1).x == oracle_step(float(x), float(mu))
+
+
 # ---------------------------------------------------------------- bytes
 
 
