@@ -8,6 +8,7 @@ map's density bias.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,7 +47,7 @@ def entropy_of_counts(counts) -> float:
     if total == 0:
         raise EmptyInput("entropy of an empty histogram is undefined")
     p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    return float(0.0 - (p * np.log2(p)).sum())  # -s would make one value's 0.0 read -0.0
 
 
 def shannon_entropy(data) -> float:
@@ -108,7 +109,7 @@ def keystream_histogram(key: KeyMaterial, iterations: int, bins: int) -> np.ndar
     `iterations` post-burn-in values are binned uniformly over [0, 1];
     the counts sum to `iterations`.
     """
-    if bins < 1:
+    if (bins := operator.index(bins)) < 1:  # 10.0 would reach numpy only after the burn-in
         raise ValueError(f"bins must be >= 1, got {bins!r}")
     if iterations < bins:
         raise ValueError(f"iterations ({iterations!r}) must be >= bins ({bins!r})")

@@ -113,8 +113,7 @@ def read_pnm(data: bytes) -> Frame:
 def write_pnm(frame: Frame) -> bytes:
     """Serialize a Frame as canonical binary PGM/PPM."""
     magic = "P5" if frame.channels == 1 else "P6"
-    # :d prints a bool dimension, which Frame takes as an int, as a number.
-    header = f"{magic}\n{frame.width:d} {frame.height:d}\n255\n".encode("ascii")
+    header = f"{magic}\n{frame.width} {frame.height}\n255\n".encode("ascii")
     if frame.channels == 1:
         return header + frame.data
     # One channel at a time into the output bytes, which already hold the

@@ -461,7 +461,8 @@ def _new_array(size: int) -> tuple[bytes, np.ndarray]:
 def _view(data) -> memoryview:
     """`data`, any bytes-like object, as a flat, C-contiguous memoryview of unsigned
     bytes. Lengths count bytes, whatever the item format; a strided view is copied once."""
-    view = memoryview(data)
+    if not (view := memoryview(data)).ndim:  # a numpy scalar is a number, as an int is
+        raise TypeError(f"memoryview: a bytes-like object is required, not {type(data).__name__!r}")
     return (view if view.c_contiguous else memoryview(view.tobytes())).cast("B")
 
 
@@ -530,7 +531,10 @@ def _cache_dir() -> Path:
 def _publish(target) -> Iterator[str]:
     """A fresh sibling of `target` for the block to create (O_EXCL), renamed over `target`
     if the block succeeds and removed if it fails, so no part-written file is published."""
-    tmp = f"{target}.{os.urandom(6).hex()}.tmp"  # a Path adds ~15 us to a CLI call (2-vCPU Xeon)
+    head, name = os.path.split(os.fspath(target))  # a Path adds ~15 us to a CLI call (2-vCPU Xeon)
+    while len(os.fsencode(name)) > 238:  # the 17-byte suffix must fit NAME_MAX, commonly 255
+        name = name[:-1]  # whole characters, so a UTF-8 name stays valid
+    tmp = os.path.join(head, f"{name}.{os.urandom(6).hex()}.tmp")
     try:
         yield tmp
         os.replace(tmp, target)

@@ -64,6 +64,13 @@ def test_entropy_constant_is_zero():
     assert shannon_entropy(bytes([42] * 1000)) == 0.0
 
 
+@pytest.mark.parametrize("compute", [lambda: shannon_entropy(b"\x07" * 10),
+                                     lambda: entropy_of_counts([4, 0])], ids=["bytes", "counts"])
+def test_entropy_of_one_value_is_positive_zero(compute):
+    result = compute()
+    assert result == 0.0 and math.copysign(1.0, result) == 1.0 and repr(result) == "0.0"
+
+
 def test_entropy_uniform_is_eight():
     assert shannon_entropy(bytes(range(256)) * 3) == 8.0
 

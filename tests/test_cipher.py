@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from array import array
 
@@ -12,6 +13,7 @@ from chaospip import (
     KeyMaterial,
     KeystreamState,
     ReseedMode,
+    container_mode_for,
     corr2d,
     decrypt_image,
     derive_key_from_hex,
@@ -19,11 +21,13 @@ from chaospip import (
     inverse_permute,
     process_block,
     process_stream,
+    read_container,
     read_pnm,
     seed,
     skip,
     take_bytes,
     transform_plane,
+    write_container,
     write_pnm,
 )
 from chaospip import cipher, keystream
@@ -71,6 +75,56 @@ def test_frame_sizes_narrow_numpy_dimensions_without_wrapping():
     frame = Frame(side, side, np.uint8(1), bytes(40_000))
     assert frame.plane(0) == bytes(40_000)
     assert read_pnm(write_pnm(frame)) == Frame(200, 200, 1, bytes(40_000))
+
+
+INTEGER_TYPES = [bool, int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])]
+
+
+@given(st.sampled_from(INTEGER_TYPES), st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 3]),
+       st.data())
+def test_frame_stores_python_ints_and_bytes(kind, width, height, channels, data):
+    # A bool can only spell 1, so it stands for every dimension that is 1.
+    dims = [kind(v) if kind is not bool or v == 1 else v for v in (width, height, channels)]
+    raw = data.draw(st.binary(min_size=width * height * channels, max_size=width * height * channels))
+    frame = Frame(*dims, bytearray(raw))
+    assert [type(v) for v in (frame.width, frame.height, frame.channels, frame.data)] == \
+        [int, int, int, bytes]
+    assert frame == Frame(width, height, channels, raw)
+    assert hash(frame) == hash(Frame(width, height, channels, raw))
+    assert repr(frame) == repr(Frame(width, height, channels, raw))
+    assert read_pnm(write_pnm(frame)) == frame
+    mode = container_mode_for(channels, video=False)
+    assert read_container(write_container([frame], mode, ReseedMode.CONTINUOUS))[0] == [frame]
+
+
+def test_frame_keeps_bytes_and_replaces_like_a_dataclass():
+    data = bytes(range(12))
+    frame = Frame(2, 2, 3, data)
+    assert frame.data is data
+    assert dataclasses.replace(frame, width=4, height=1) == Frame(4, 1, 3, data)
+    assert [f.name for f in dataclasses.fields(Frame)] == ["width", "height", "channels", "data"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.width = 3
+
+
+@pytest.mark.parametrize("width, height, data", [(8, 1, 8), (8, 1, np.int64(8)), (2, 2, [1, 2, 3, 4])],
+                         ids=["int", "numpy-int", "list"])
+def test_frame_refuses_data_that_is_not_bytes_like(width, height, data):
+    # bytes(8) would be eight zero bytes. Frame reads data by the rule of
+    # transform_plane, and refuses what it refuses, with the same error.
+    with pytest.raises(TypeError) as plane:
+        transform_plane(data, seed(KEY))
+    with pytest.raises(TypeError, match="bytes-like") as frame:
+        Frame(width, height, 1, data)
+    assert str(frame.value) == str(plane.value)
+
+
+def test_frame_reads_any_bytes_like_data_as_its_bytes():
+    words = array("I", [1, 2, 3, 300])
+    strided = np.arange(32, dtype=np.uint8)[::2]
+    for data, expected in [(memoryview(bytes(range(16))), bytes(range(16))),
+                           (words, words.tobytes()), (strided, strided.tobytes())]:
+        assert Frame(4, 4, 1, data) == Frame(4, 4, 1, expected)
 
 
 def test_frame_planes():

@@ -150,6 +150,21 @@ def test_counts_past_int64_never_reach_the_kernel(counting_lib, call, count):
     assert counting_lib.calls == []
 
 
+@pytest.mark.parametrize("bins", [10.0, 2.5, "10", None])
+def test_bins_that_are_not_integers_never_reach_the_kernel(counting_lib, bins):
+    # 10.0 used to run the burn-in and then fail inside numpy.
+    with pytest.raises(TypeError):
+        keystream_histogram(derive_key_from_params("3.9", "0.4"), 10**6, bins)
+    assert counting_lib.calls == []
+
+
+@pytest.mark.parametrize("bins, same", [(np.uint8(100), 100), (True, 1)], ids=["uint8", "bool"])
+def test_integer_bins_count_as_python_ints(bins, same):
+    key = derive_key_from_params("3.9", "0.4")
+    assert keystream_histogram(key, 10_000, bins).tolist() == \
+        keystream_histogram(key, 10_000, same).tolist()
+
+
 def test_kernel_gets_the_counter_as_its_low_byte(counting_lib):
     take_bytes(KeystreamState(x=0.4, mu=3.9, n=2**64 - 3), 5)
     assert counting_lib.calls == [((2**64 - 3) & 0xFF, 5)]

@@ -217,3 +217,32 @@ def test_publish_removes_the_sibling_when_the_rename_fails(tmp_path):
         with keystream._publish(target) as tmp:
             Path(tmp).write_bytes(b"whole")
     assert list(tmp_path.iterdir()) == [target]
+
+
+LONG_NAMES = {"ascii-250": "o" * 250, "ascii-255": "o" * 255, "utf8-240": "é" * 120}
+
+
+@pytest.mark.parametrize("name", LONG_NAMES.values(), ids=LONG_NAMES)
+def test_a_long_output_name_is_written_whole(tmp_path, name):
+    # <name>.<12 hex>.tmp would pass the 255-byte name limit, so the sibling's
+    # copy of the name is cut, by whole characters.
+    paths = _inputs(tmp_path)
+    before = set(tmp_path.iterdir())
+    short, long = tmp_path / "short.cpip", tmp_path / name
+    for out in (short, long):
+        assert run(["encrypt", "--in", paths["IN"], "--out", str(out), *KEY_FLAGS]) == 0
+    assert long.read_bytes() == short.read_bytes()
+    assert set(tmp_path.iterdir()) - before == {short, long}
+
+
+@pytest.mark.parametrize("name", [*LONG_NAMES.values(), "o" + "é" * 120],
+                         ids=[*LONG_NAMES, "utf8-241"])
+def test_publish_cuts_a_long_name_by_whole_characters(tmp_path, name):
+    with keystream._publish(tmp_path / name) as tmp:
+        tmp = Path(tmp)
+        sibling = os.fsencode(tmp.name)
+        assert tmp.parent == tmp_path and tmp.name.endswith(".tmp")
+        assert 255 - 4 < len(sibling) <= 255  # as long as fits, less at most one character
+        assert name.startswith(sibling[:-17].decode("utf-8"))  # strict: no character split
+        tmp.write_bytes(b"whole")
+    assert list(tmp_path.iterdir()) == [tmp_path / name]
