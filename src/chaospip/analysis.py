@@ -8,6 +8,7 @@ map's density bias.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Optional
@@ -151,17 +152,21 @@ def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
     Each channel's plain and cipher planes go through one kernel pass,
     `keystream._moments`, which gives both planes' byte counts
     and the moments of their correlation: the same histograms as
-    `histogram256` and the same coefficient as `corr2d`, bit for bit.
+    `histogram256` and the same coefficient as `corr2d`, bit for bit. An RGB
+    pair of at least `keystream._CONCURRENT_BYTES` runs channel 2's pass on
+    this thread and the others on a helper (`keystream._concurrently`).
     Raises DegenerateInput if any plane is constant.
     """
     if plain.shape != cipher.shape:
         raise DimensionMismatch(f"frame shapes differ: {plain.shape} vs {cipher.shape}")
-    # Zero-copy plane views and one kernel pass per channel. counts[c] holds
-    # channel c's plain and cipher histograms, and the whole-frame counts
-    # are their exact integer sum: a gray frame's one array as it is.
+    # Zero-copy plane views and one kernel pass per channel; a large RGB frame's
+    # passes run on two threads. counts[c] holds channel c's plain and cipher
+    # histograms, and the whole-frame counts are their exact integer sum.
     pv = np.frombuffer(plain.data, np.uint8).reshape(plain.channels, -1)
     cv = np.frombuffer(cipher.data, np.uint8).reshape(plain.channels, -1)
-    moments, counts = zip(*map(keystream._moments, pv, cv))
+    passes = [functools.partial(keystream._moments, p, c) for p, c in zip(pv, cv)]
+    together = plain.channels == 3 and len(plain.data) >= keystream._CONCURRENT_BYTES
+    moments, counts = zip(*(keystream._concurrently(*passes) if together else [f() for f in passes]))
     corrs = [_pearson(sums) for sums in moments]
     whole = sum(counts[1:], counts[0])
     # A gray frame's entropies are the whole-frame ones below, so

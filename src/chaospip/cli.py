@@ -18,7 +18,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from . import analysis
+from . import analysis, keystream
 from .cipher import Frame, ReseedMode, process_stream
 from .errors import FixedPointError, FormatError, ParseError, RangeError
 from .io import MAGIC, _container_parts, container_mode_for, read_container, read_pnm, read_raw, write_pnm
@@ -189,8 +189,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_cipher_file(path: str) -> Frame:
-    data = _read(path)
+def _parse_cipher(data: bytes) -> Frame:
     if data[:4] == MAGIC:
         frames, _mode, _reseed = read_container(data)
         if len(frames) != 1:
@@ -217,8 +216,22 @@ def _format_report(report: analysis.MetricsReport) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    plain = read_pnm(_read(args.plain))
-    cipher = _load_cipher_file(args.cipher)
+    def read_plain() -> Frame:
+        return read_pnm(_read(args.plain))
+
+    def read_cipher():  # an error is kept, so the plain file's is still raised first
+        try:
+            return _read(args.cipher)
+        except Exception as exc:
+            return exc
+
+    if os.path.isfile(args.cipher) and os.path.getsize(args.cipher) >= keystream._CONCURRENT_BYTES:
+        data, plain = keystream._concurrently(read_cipher, read_plain)  # cipher on a helper
+    else:
+        plain, data = read_plain(), read_cipher()
+    if isinstance(data, Exception):
+        raise data
+    cipher = _parse_cipher(data)
     text = _format_report(analysis.compare_frames(plain, cipher))
     if args.report:
         _write(args.report, [text.encode()])
@@ -239,11 +252,25 @@ def _cmd_keystream_hist(args: argparse.Namespace) -> int:
 # Built once per process: parse_args leaves it unchanged, and argparse looks
 # up sys.stdout/sys.stderr only when it prints.
 _PARSER = build_parser()
+# Each command's own parser, by name (the choices of _PARSER's subparsers action).
+_COMMANDS = next(a.choices for a in _PARSER._actions if a.dest == "command")
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)`. A known command's arguments go straight to its own
+    parser, which halves the parse: _PARSER would first scan them all itself. _PARSER
+    still parses whatever that parser leaves unrecognized, so its error names `chaospip`."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def run(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -23,6 +23,7 @@ from chaospip import (
     shannon_entropy,
 )
 from chaospip import analysis
+from chaospip.cli import _format_report
 
 from synthimg import synthetic_gray, synthetic_rgb
 
@@ -427,6 +428,74 @@ def test_compare_frames_takes_each_entropy_once(monkeypatch, channels, calls):
     monkeypatch.setattr(analysis, "entropy_of_counts", counted)
     assert compare_frames(frame, cipher) == want
     assert len(seen) == calls
+
+
+def _counting(calls, concurrently=analysis.keystream._concurrently):
+    """`keystream._concurrently` that appends each call's number of calls to `calls`."""
+    def counted(*args):
+        calls.append(len(args))
+        return concurrently(*args)
+    return counted
+
+
+def _outcome_of(call):
+    try:
+        return call()
+    except DegenerateInput as exc:
+        return type(exc)
+
+
+# width, height, number of byte values, seed
+_pixels = st.tuples(st.integers(1, 24), st.integers(1, 24), st.sampled_from([2, 3, 256]),
+                    st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["kernel-in-use", "oracle"])
+@settings(max_examples=60, deadline=None)
+@given(shape=_pixels, share=st.booleans())
+def test_two_threads_give_the_serial_report(oracle, shape, share):
+    """An RGB pair at or above `keystream._CONCURRENT_BYTES` runs its channel
+    passes on two threads; the report, and its text, match the serial path's.
+    Few byte values make constant planes (DegenerateInput) likely too."""
+    width, height, values, seed_ = shape
+    rng = np.random.default_rng(seed_)
+    size = width * height * 3
+    plain, cipher = (Frame(width, height, 3, rng.integers(0, values, size, dtype=np.uint8).tobytes())
+                     for _ in range(2))
+    if share:  # equal planes correlate fully
+        cipher = plain
+    with pytest.MonkeyPatch.context() as mp:
+        if oracle:
+            mp.setattr(analysis.keystream, "_loaded", lambda: analysis.keystream._PYTHON)
+        outcomes, calls = [], []
+        mp.setattr(analysis.keystream, "_concurrently", _counting(calls))
+        for limit in (len(plain.data) + 1, len(plain.data)):  # serial, then two threads
+            mp.setattr(analysis.keystream, "_CONCURRENT_BYTES", limit)
+            outcomes.append(_outcome_of(lambda: compare_frames(plain, cipher)))
+        assert calls == [3]
+    serial, together = outcomes
+    assert serial == together
+    if serial is not DegenerateInput:
+        assert _format_report(serial) == _format_report(together)
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["kernel-in-use", "oracle"])
+@pytest.mark.parametrize("constant", ["plain", "cipher"])
+@pytest.mark.parametrize("channel", [0, 1, 2])
+def test_two_threads_reject_a_constant_plane_in_any_channel(monkeypatch, oracle, constant, channel):
+    # Channels 0 and 1 run on the helper thread, channel 2 on this one.
+    if oracle:
+        monkeypatch.setattr(analysis.keystream, "_loaded", lambda: analysis.keystream._PYTHON)
+    calls = []
+    monkeypatch.setattr(analysis.keystream, "_CONCURRENT_BYTES", 3 * 13 * 11)
+    monkeypatch.setattr(analysis.keystream, "_concurrently", _counting(calls))
+    rng = np.random.default_rng(36)
+    planes = {name: rng.integers(0, 256, (3, 13 * 11), dtype=np.uint8) for name in ("plain", "cipher")}
+    planes[constant][channel] = 200
+    plain, cipher = (Frame(13, 11, 3, planes[name].tobytes()) for name in ("plain", "cipher"))
+    with pytest.raises(DegenerateInput):
+        compare_frames(plain, cipher)
+    assert calls == [3]
 
 
 def test_compare_frames_rejects_mismatched_shapes():

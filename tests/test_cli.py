@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from chaospip import analysis, cli, keystream
 from chaospip.cli import run
 
 from synthimg import synthetic_gray, synthetic_rgb
+from test_analysis import _counting
 from test_io_properties import _frames, _mutants
 from test_keystream import FIXED_POINT_HEX_KEY
 
@@ -330,6 +333,90 @@ def test_analyze_rejects_mismatched_images(tmp_path, capsys):
     assert run(["analyze", "--plain", str(a), "--cipher", str(b)]) == 2
 
 
+@pytest.mark.parametrize("limit", ["two-threads", "default"])
+@pytest.mark.parametrize("plain", ["valid", "malformed"])
+@pytest.mark.parametrize("fault", ["missing", "unreadable"])
+def test_analyze_input_errors_read_as_before(tmp_path, monkeypatch, capsys, limit, plain, fault):
+    """A bad cipher file exits 2 with the error of its read; when the plain
+    file is bad too, the plain file's error is reported, as when the files
+    were read in turn. No thread outlives the call."""
+    plain_path, cipher_path = tmp_path / "plain.pgm", tmp_path / "cipher.pgm"
+    frame = write_test_pgm(plain_path, seed=70)
+    if plain == "malformed":
+        plain_path.write_bytes(b"P5\n8 8\n255\n" + bytes(10))
+    calls = []
+    monkeypatch.setattr(keystream, "_concurrently", _counting(calls))
+    if limit == "two-threads":  # every regular cipher file is read on a helper thread
+        monkeypatch.setattr(keystream, "_CONCURRENT_BYTES", 0)
+    if fault == "unreadable":  # as mode 000 makes it for any user but root
+        cipher_path.write_bytes(write_pnm(encrypt_image(frame, KeyMaterial(3.934, 0.525, 50))))
+        denied = PermissionError(13, "Permission denied", str(cipher_path))
+
+        def read(path):
+            if path == str(cipher_path):
+                raise denied
+            return Path(path).read_bytes()
+
+        monkeypatch.setattr(cli, "_read", read)
+    threads = threading.active_count()
+    assert run(["analyze", "--plain", str(plain_path), "--cipher", str(cipher_path)]) == 2
+    assert threading.active_count() == threads
+    if plain == "malformed":
+        with pytest.raises(ValueError) as info:
+            read_pnm(plain_path.read_bytes())
+        want = f"error: {info.value}\n"
+    elif fault == "missing":
+        want = f"error: [Errno 2] No such file or directory: {str(cipher_path)!r}\n"
+    else:
+        want = f"error: [Errno 13] Permission denied: {str(cipher_path)!r}\n"
+    assert capsys.readouterr().err == want
+    # A missing file is never read on a helper.
+    assert calls == ([2] if limit == "two-threads" and fault == "unreadable" else [])
+
+
+def test_large_rgb_analyze_calls_public_functions_on_the_main_thread(tmp_path, monkeypatch):
+    """Helper threads run private code only, so a tracer that wraps the public
+    functions, as perfbench/spans.py does, sees every call on one thread; and
+    the kernel is first loaded on the main thread."""
+    frame = synthetic_rgb(640, 560, 7.4, seed=8)
+    assert len(frame.data) >= keystream._CONCURRENT_BYTES  # the size rule as shipped
+    plain_path, container = tmp_path / "plain.ppm", tmp_path / "c.cpip"
+    plain_path.write_bytes(write_pnm(frame))
+    assert run(["encrypt", "--in", str(plain_path), "--out", str(container), *KEY_FLAGS]) == 0
+    threads, wrapped = {}, {}
+
+    def recording(name, fn):
+        def record(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return record
+
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.split(".")[0] != "chaospip":
+            continue
+        for attr, obj in list(vars(module).items()):
+            if (attr.startswith("_") or not inspect.isfunction(obj)
+                    or not obj.__module__.startswith("chaospip.")):
+                continue
+            wrapped.setdefault(obj, recording(f"{obj.__module__}.{obj.__name__}", obj))
+            monkeypatch.setattr(module, attr, wrapped[obj])
+    for module, name in [(keystream, "_moments"), (cli, "_read")]:
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    loaded = keystream._loaded
+    loaded.cache_clear()  # the next call loads the kernel again
+    first = []
+    monkeypatch.setattr(keystream, "_loaded", lambda: first.append(threading.get_ident()) or loaded())
+    assert cli.run(["analyze", "--plain", str(plain_path), "--cipher", str(container),
+                    "--report", str(tmp_path / "report.txt")]) == 0
+    main = {threading.get_ident()}
+    public = {name: idents for name, idents in threads.items() if not name.startswith("_")}
+    assert {"chaospip.cli.run", "chaospip.io.read_pnm", "chaospip.io.read_container",
+            "chaospip.analysis.compare_frames"} <= set(public)
+    assert all(idents == main for idents in public.values()), public
+    assert len(threads["_moments"] - main) == 1 and len(threads["_read"] - main) == 1
+    assert first[0] in main
+
+
 # sha256 of the analyze report for synthetic_rgb(640, 480, 7.4, seed=5)
 # under mu=3.934, x0=0.5250, pinned from the plane-sized float64 corr2d;
 # numpy's pairwise tree splits each 307,200-pixel plane many times over.
@@ -368,6 +455,18 @@ def assert_report_pinned(tmp_path, monkeypatch, kernel, frame, digest):
 def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, kernel):
     assert_report_pinned(tmp_path, monkeypatch, kernel, synthetic_rgb(640, 480, 7.4, seed=5),
                          GOLDEN_REPORT_SHA256)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_analyze_report_bytes_are_pinned_on_two_threads(tmp_path, monkeypatch, kernel):
+    # The 640x480 frame and its container both reach the lowered size rule, so
+    # the cipher file is read, and channels 0 and 1 are summed, on a helper thread.
+    calls = []
+    monkeypatch.setattr(keystream, "_CONCURRENT_BYTES", 640 * 480 * 3)
+    monkeypatch.setattr(keystream, "_concurrently", _counting(calls))
+    assert_report_pinned(tmp_path, monkeypatch, kernel, synthetic_rgb(640, 480, 7.4, seed=5),
+                         GOLDEN_REPORT_SHA256)
+    assert calls == [2, 3, 3]  # analyze's reads and passes, then compare_frames' passes
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -491,6 +590,64 @@ def test_usage_errors_exit_1(capsys):
     assert run(["encrypt", "--out", "x"]) == 1  # missing --in/--mu/--x0
     assert run([]) == 1
     assert capsys.readouterr().err.count("usage: chaospip") == 3
+
+
+_GOOD_ARGV = [
+    ["keygen"],
+    ["keygen", "--from-hex", "00"],
+    ["encrypt", "--in", "a", "b", "--out", "c", *KEY_FLAGS, "--reseed", "per-frame", "--as-pnm"],
+    ["encrypt", "--in=a", "--out", "c", "--mu=3.9", "--x0", "0.5", "--width", "4", "--height", "-2"],
+    ["decrypt", "--in", "c", "--out", "d", *KEY_FLAGS],
+    ["analyze", "--plain", "a", "--cipher", "b", "--report", "r"],
+    ["analyze", "--cipher", "b", "--plain", "a", "--plain", "a2"],
+    ["analyze", "--pl", "a", "--ci", "b"],  # abbreviations
+    ["keystream-hist", *KEY_FLAGS, "--n", "10", "--bins", "2", "--out", "h"],
+]
+_BAD_ARGV = [
+    ["analyze", "--plain"],  # a missing value
+    ["analyze", "--plain", "a"],  # a missing required flag
+    ["encrypt", "--out", "x"],
+    ["analyze", "--plain", "a", "--cipher", "b", "--bogus"],  # an unknown option
+    ["analyze", "--plain", "a", "--bogus", "--cipher", "b"],
+    ["keygen", "--bogus=1"],
+    ["analyze", "--plain", "a", "--cipher", "b", "extra"],  # an extra positional argument
+    ["keygen", "extra", "--random"],
+    ["analyze", "--plain", "a", "--cipher", "b", "--", "extra"],
+    ["no-such-command"],  # an unknown command
+    ["analyse", "--plain", "a"],
+    ["-h"],  # top-level help
+    ["-h", "analyze"],
+    ["--help"],
+    ["--bogus", "analyze"],
+    [],  # no arguments
+    ["analyze", "-h"],  # a command's help
+    ["encrypt", "--in", "a", "--help", "--out"],
+    ["keygen", "--random", "--from-hex", "00"],  # mutually exclusive flags
+    ["keystream-hist", *KEY_FLAGS, "--n", "ten", "--bins", "2", "--out", "h"],  # not an int
+    ["encrypt", "--in", "a", "--out", "c", *KEY_FLAGS, "--reseed", "sometimes"],  # a bad choice
+    ["encrypt", "--in", "a", "--out", "c", *KEY_FLAGS, "--channels", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _GOOD_ARGV, ids=" ".join)
+def test_command_parser_gives_the_top_level_parsers_arguments(argv):
+    assert vars(cli._parse(argv)) == vars(cli._PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", _BAD_ARGV, ids=" ".join)
+def test_bad_invocations_print_what_the_top_level_parser_prints(capsys, argv):
+    """`run` parses a command's arguments with that command's parser, and the
+    top-level parser's exit code and output, byte for byte, are kept."""
+    try:
+        cli._PARSER.parse_args(argv)
+    except SystemExit as exc:
+        want_code = 0 if exc.code in (0, None) else 1
+    else:
+        raise AssertionError(f"{argv} parses")
+    want = capsys.readouterr()
+    assert run(argv) == want_code
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
 
 
 def test_help_exits_0(capsys):

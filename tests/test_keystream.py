@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -382,3 +384,73 @@ def test_nearby_seeds_decorrelate_to_chance_agreement():
     b, _ = take_bytes(seed(KeyMaterial(3.934, base + 1e-12, 1000)), 100_000)
     agreement = sum(x == y for x, y in zip(a, b)) / 100_000
     assert abs(agreement - 1.0 / 256.0) <= 0.05
+
+
+# ---------------------------------------------------------------- fork-join helper
+
+
+def test_concurrently_returns_results_in_call_order():
+    # The helper's calls finish after the calling thread's, and in turn.
+    def after(seconds, value):
+        return lambda: time.sleep(seconds) or value
+
+    assert keystream._concurrently(after(0.03, "a"), after(0.01, "b"), after(0, "c")) == ["a", "b", "c"]
+    assert keystream._concurrently(lambda: 1, lambda: 2) == [1, 2]
+
+
+def test_concurrently_runs_the_last_call_here_and_the_others_on_one_helper():
+    idents = [None] * 3
+
+    def call(i):
+        def record():
+            idents[i] = threading.get_ident()
+        return record
+
+    keystream._concurrently(call(0), call(1), call(2))
+    assert idents[2] == threading.get_ident()
+    assert idents[0] == idents[1] != idents[2]
+
+
+@pytest.mark.parametrize("failing", [[0, 2], [1, 2], [1], [2], [0, 1]])
+def test_concurrently_raises_the_first_failure_in_call_order(failing):
+    # A helper's failure is raised even when the calling thread's call fails
+    # sooner, and calls after a failed one still run.
+    ran = []
+
+    def call(i):
+        def run():
+            time.sleep(0.02 if i < 2 else 0)
+            ran.append(i)
+            if i in failing:
+                raise KeyError(i)
+            return i
+        return run
+
+    with pytest.raises(KeyError) as info:
+        keystream._concurrently(call(0), call(1), call(2))
+    assert info.value.args == (min(failing),)
+    assert sorted(ran) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("error", [ValueError("here"), KeyboardInterrupt()], ids=["error", "interrupt"])
+def test_concurrently_joins_its_helper_when_this_threads_call_raises(error):
+    threads, done = threading.active_count(), []
+
+    def slow():
+        time.sleep(0.05)
+        done.append(True)
+
+    def fail():
+        raise error
+
+    with pytest.raises(type(error)):
+        keystream._concurrently(slow, fail)
+    assert done == [True]
+    assert threading.active_count() == threads
+
+
+def test_concurrently_loads_the_kernel_on_the_calling_thread(monkeypatch):
+    loaded, original = [], keystream._loaded
+    monkeypatch.setattr(keystream, "_loaded", lambda: loaded.append(threading.get_ident()) or original())
+    keystream._concurrently(lambda: None, lambda: None)
+    assert loaded == [threading.get_ident()]

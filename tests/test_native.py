@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +572,25 @@ def test_cold_build_leaves_only_the_library(tmp_path, monkeypatch):
     kernel = keystream._native_kernel(keystream._load_library())
     assert keystream._agrees(kernel)
     assert [p.suffix for p in (tmp_path / "chaospip").iterdir()] == [".so"]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+def test_cold_build_removes_only_stale_siblings(tmp_path, monkeypatch):
+    # A build killed mid-compile leaves its sibling; one older than the compile
+    # timeout is stale, a fresh one may belong to a build still running, and
+    # another kernel's sibling and other files are not this build's to remove.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    name = keystream._library_path().name
+    cache = tmp_path / "chaospip"
+    stale, fresh = cache / f"{name}.0123456789ab.tmp", cache / f"{name}.ba9876543210.tmp"
+    other, unrelated = cache / "kernel-0000.so.0123456789ab.tmp", cache / "notes.tmp"
+    for path in (stale, fresh, other, unrelated):
+        path.write_bytes(b"half a library")
+        os.utime(path, (time.time() - 301,) * 2)
+    os.utime(fresh)
+    keystream._load_library()
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [name, fresh.name, other.name, unrelated.name])
 
 
 @pytest.mark.parametrize("error", [subprocess.CalledProcessError(1, "cc", stderr=b"error"),
