@@ -9,6 +9,7 @@ map's density bias.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional
@@ -42,9 +43,14 @@ def histogram256(data) -> np.ndarray:
 
 
 def entropy_of_counts(counts) -> float:
-    """Shannon entropy in bits of a histogram; 0*log(0) taken as 0."""
+    """Shannon entropy in bits of a histogram; 0*log(0) taken as 0.
+
+    Raises ValueError for a negative or non-finite count.
+    """
     counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
+    # The minimum first: summing -inf and inf would warn before this raised.
+    if counts.min(initial=0.0) < 0 or not math.isfinite(total := counts.sum()):
+        raise ValueError("histogram counts must be finite and non-negative")
     if total == 0:
         raise EmptyInput("entropy of an empty histogram is undefined")
     p = counts[counts > 0] / total
@@ -152,10 +158,10 @@ def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
     Each channel's plain and cipher planes go through one kernel pass,
     `keystream._moments`, which gives both planes' byte counts
     and the moments of their correlation: the same histograms as
-    `histogram256` and the same coefficient as `corr2d`, bit for bit. An RGB
-    pair of at least `keystream._CONCURRENT_BYTES` runs channel 2's pass on
-    this thread and the others on a helper (`keystream._concurrently`).
-    Raises DegenerateInput if any plane is constant.
+    `histogram256` and the same coefficient as `corr2d`, bit for bit.
+    `keystream._concurrently` runs the passes: for an RGB pair that its size
+    rule finds large, channel 0's on this thread and channels 1 and 2's on a
+    helper. Raises DegenerateInput if any plane is constant.
     """
     if plain.shape != cipher.shape:
         raise DimensionMismatch(f"frame shapes differ: {plain.shape} vs {cipher.shape}")
@@ -165,8 +171,7 @@ def compare_frames(plain: Frame, cipher: Frame) -> MetricsReport:
     pv = np.frombuffer(plain.data, np.uint8).reshape(plain.channels, -1)
     cv = np.frombuffer(cipher.data, np.uint8).reshape(plain.channels, -1)
     passes = [functools.partial(keystream._moments, p, c) for p, c in zip(pv, cv)]
-    together = plain.channels == 3 and len(plain.data) >= keystream._CONCURRENT_BYTES
-    moments, counts = zip(*(keystream._concurrently(*passes) if together else [f() for f in passes]))
+    moments, counts = zip(*keystream._concurrently(len(plain.data), *passes))
     corrs = [_pearson(sums) for sums in moments]
     whole = sum(counts[1:], counts[0])
     # A gray frame's entropies are the whole-frame ones below, so

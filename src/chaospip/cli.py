@@ -216,21 +216,11 @@ def _format_report(report: analysis.MetricsReport) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    def read_plain() -> Frame:
-        return read_pnm(_read(args.plain))
-
-    def read_cipher():  # an error is kept, so the plain file's is still raised first
-        try:
-            return _read(args.cipher)
-        except Exception as exc:
-            return exc
-
-    if os.path.isfile(args.cipher) and os.path.getsize(args.cipher) >= keystream._CONCURRENT_BYTES:
-        data, plain = keystream._concurrently(read_cipher, read_plain)  # cipher on a helper
-    else:
-        plain, data = read_plain(), read_cipher()
-    if isinstance(data, Exception):
-        raise data
+    # The plain file is read first, here, so its error wins; a missing or special
+    # cipher file (size -1) is read here too, after it.
+    size = os.path.getsize(args.cipher) if os.path.isfile(args.cipher) else -1
+    plain, data = keystream._concurrently(size, lambda: read_pnm(_read(args.plain)),
+                                          lambda: _read(args.cipher))
     cipher = _parse_cipher(data)
     text = _format_report(analysis.compare_frames(plain, cipher))
     if args.report:

@@ -57,11 +57,11 @@ its buffers unchecked; `_mask` refuses any geometry they do not fit, and
 (2, 256) int64 array it made for the counts.
 
 The kernel's operations keep no shared state: each reads its arguments and
-writes only buffers it made. So `analysis.compare_frames` may run an RGB
-pair's channel passes on a helper thread (`_concurrently`) when the frame
-holds at least `_CONCURRENT_BYTES`, and the CLI's `analyze` reads a cipher
-file that large on one. One key's keystream is a serial chain, each state
-made from the one before, so no helper can share its work.
+writes only buffers it made. So `_concurrently` may run calls on a helper
+thread, and it alone decides when (`_CONCURRENT_BYTES`): `compare_frames`
+hands it an RGB pair's channel passes, and the CLI's `analyze` its two reads.
+One key's keystream is a serial chain, each state made from the one before,
+so no helper can share its work.
 """
 
 from __future__ import annotations
@@ -324,17 +324,20 @@ def _moments(a: np.ndarray, b: np.ndarray) -> tuple[_Moments, np.ndarray]:
     return _loaded().moments(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
-# The smallest frame worth a helper thread in `analysis.compare_frames` and the CLI's
-# `analyze` reads: a thread costs 0.1-0.3 ms on a 2-vCPU Xeon, and both gain from 1 MB up.
+# The smallest task worth a helper thread in `_concurrently`: a thread costs 0.1-0.3 ms
+# on a 2-vCPU Xeon, and analyze's passes and reads both gain from 1 MB up.
 _CONCURRENT_BYTES = 1 << 20
 
 
-def _concurrently(*calls: Callable[[], object]) -> list:
-    """The results of `calls`, functions of no arguments, in call order: the last runs here,
-    the others in turn on one helper thread, joined before this returns or raises the first
-    failure in call order. Helpers may run kernel operations, which keep no shared state;
+def _concurrently(size: int, *calls: Callable[[], object]) -> list:
+    """The results of `calls`, functions of no arguments, in call order. Two or more calls
+    for a task of `size` >= `_CONCURRENT_BYTES` bytes run the first here and the others in turn
+    on one helper thread, joined before this returns or raises the first failure in call order;
+    else all run here in turn. Helpers may run kernel operations, which keep no shared state;
     the kernel is loaded here first, as `functools.cache` has no lock. One helper at a time
     reuses its predecessor's glibc arena and pages, where two would fault in a second's."""
+    if size < _CONCURRENT_BYTES or len(calls) < 2:
+        return [call() for call in calls]
     _loaded()
     results, errors = [None] * len(calls), {}
 
@@ -345,10 +348,10 @@ def _concurrently(*calls: Callable[[], object]) -> list:
             except BaseException as exc:  # raised on the calling thread, after the join
                 errors[i] = exc
 
-    helper = threading.Thread(target=run, args=(range(len(calls) - 1),))
+    helper = threading.Thread(target=run, args=(range(1, len(calls)),))
     helper.start()
     try:
-        run([len(calls) - 1])
+        run([0])
     finally:
         helper.join()
     if errors:

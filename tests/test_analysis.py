@@ -1,5 +1,8 @@
 import math
+import threading
+import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +84,21 @@ def test_entropy_empty_rejected():
         shannon_entropy(b"")
     with pytest.raises(EmptyInput):
         entropy_of_counts([0] * 256)
+
+
+@pytest.mark.parametrize("counts", [[3, -3, 1], [1, -1, 2], [-0.5, 0, 0], [math.inf, 1], [-math.inf, 1],
+                                    [math.inf, -math.inf], [math.nan, 1], [0, math.nan]])
+def test_entropy_rejects_negative_or_non_finite_counts(counts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        with pytest.raises(ValueError, match="finite and non-negative") as info:
+            entropy_of_counts(counts)
+    assert not isinstance(info.value, EmptyInput)
+
+
+def test_entropy_takes_fractional_weights():
+    assert entropy_of_counts([0.25, 0.25, 0.0]) == 1.0
+    assert entropy_of_counts(np.array([-0.0, 2.5])) == 0.0
 
 
 def test_entropy_matches_direct_frequency_table():
@@ -431,10 +449,24 @@ def test_compare_frames_takes_each_entropy_once(monkeypatch, channels, calls):
 
 
 def _counting(calls, concurrently=analysis.keystream._concurrently):
-    """`keystream._concurrently` that appends each call's number of calls to `calls`."""
-    def counted(*args):
-        calls.append(len(args))
-        return concurrently(*args)
+    """`keystream._concurrently` that appends its number of calls to `calls`
+    whenever one of them ran on another thread than the caller's."""
+    def counted(size, *args):
+        here, idents = threading.get_ident(), []
+
+        def noting(call):
+            def run():
+                try:
+                    return call()
+                finally:
+                    idents.append(threading.get_ident())
+            return run
+
+        try:
+            return concurrently(size, *map(noting, args))
+        finally:
+            if any(ident != here for ident in idents):
+                calls.append(len(args))
     return counted
 
 
@@ -483,7 +515,7 @@ def test_two_threads_give_the_serial_report(oracle, shape, share):
 @pytest.mark.parametrize("constant", ["plain", "cipher"])
 @pytest.mark.parametrize("channel", [0, 1, 2])
 def test_two_threads_reject_a_constant_plane_in_any_channel(monkeypatch, oracle, constant, channel):
-    # Channels 0 and 1 run on the helper thread, channel 2 on this one.
+    # Channel 0 runs on this thread, channels 1 and 2 on the helper.
     if oracle:
         monkeypatch.setattr(analysis.keystream, "_loaded", lambda: analysis.keystream._PYTHON)
     calls = []
@@ -496,6 +528,25 @@ def test_two_threads_reject_a_constant_plane_in_any_channel(monkeypatch, oracle,
     with pytest.raises(DegenerateInput):
         compare_frames(plain, cipher)
     assert calls == [3]
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["kernel-in-use", "oracle"])
+@pytest.mark.parametrize("channels, limit", [(1, 13 * 11), (3, 3 * 13 * 11 + 1)],
+                         ids=["gray-at-the-rule", "rgb-one-byte-below"])
+def test_compare_frames_starts_no_helper_for_gray_or_below_the_rule(monkeypatch, oracle, channels, limit):
+    rng = np.random.default_rng(37)
+    plain, cipher = (Frame(13, 11, channels, rng.integers(0, 256, 13 * 11 * channels, dtype=np.uint8).tobytes())
+                     for _ in range(2))
+    want = compare_frames(plain, cipher)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    if oracle:
+        monkeypatch.setattr(analysis.keystream, "_loaded", lambda: analysis.keystream._PYTHON)
+    monkeypatch.setattr(analysis.keystream, "_CONCURRENT_BYTES", limit)
+    monkeypatch.setattr(analysis.keystream, "threading", SimpleNamespace(Thread=no_thread))
+    assert compare_frames(plain, cipher) == want
 
 
 def test_compare_frames_rejects_mismatched_shapes():

@@ -460,7 +460,7 @@ def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_analyze_report_bytes_are_pinned_on_two_threads(tmp_path, monkeypatch, kernel):
     # The 640x480 frame and its container both reach the lowered size rule, so
-    # the cipher file is read, and channels 0 and 1 are summed, on a helper thread.
+    # the cipher file is read, and channels 1 and 2 are summed, on a helper thread.
     calls = []
     monkeypatch.setattr(keystream, "_CONCURRENT_BYTES", 640 * 480 * 3)
     monkeypatch.setattr(keystream, "_concurrently", _counting(calls))

@@ -2,9 +2,12 @@ import math
 import threading
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chaospip import (
     FixedPointError,
@@ -14,6 +17,7 @@ from chaospip import (
     RangeError,
     derive_key_from_hex,
     derive_key_from_params,
+    encrypt_image,
     logistic_step,
     next_key_byte,
     seed,
@@ -22,6 +26,8 @@ from chaospip import (
 )
 from chaospip import keystream
 from chaospip.analysis import keystream_histogram
+
+from synthimg import synthetic_gray
 
 
 # A hex key whose x0 rounds onto the fixed point 1 - 1/mu of its mu = 3.9.
@@ -386,7 +392,31 @@ def test_nearby_seeds_decorrelate_to_chance_agreement():
     assert abs(agreement - 1.0 / 256.0) <= 0.05
 
 
+@pytest.mark.parametrize("oracle", [False, True], ids=["kernel-in-use", "oracle"])
+@settings(max_examples=100, deadline=None)
+@given(mu=st.floats(3.57, 4.0, exclude_min=True, exclude_max=True), x0=st.floats(0.5, 1.0, exclude_max=True))
+def test_twin_keys_give_the_same_keystream_and_ciphertext(oracle, mu, x0):
+    """For x0 in [0.5, 1), 1 - x0 is exact and so is 1 - (1 - x0) (Sterbenz), so
+    the keys (mu, x0) and (mu, 1 - x0) make the same first iterate, the same
+    double, and encrypt every frame alike."""
+    assume(x0 != 1.0 - 1.0 / mu)  # a fixed point is refused as a key
+    twin = 1.0 - x0
+    assert 1.0 - twin == x0
+    frame = synthetic_gray(16, 8, 6.0, seed=12)
+    with pytest.MonkeyPatch.context() as mp:
+        if oracle:
+            mp.setattr(keystream, "_loaded", lambda: keystream._PYTHON)
+        for burn_in in (0, 1000):
+            key, twin_key = KeyMaterial(mu, x0, burn_in), KeyMaterial(mu, twin, burn_in)
+            assert take_bytes(seed(key), 256)[0] == take_bytes(seed(twin_key), 256)[0]
+            assert encrypt_image(frame, key).data == encrypt_image(frame, twin_key).data
+
+
 # ---------------------------------------------------------------- fork-join helper
+
+
+# A task size at which `_concurrently` starts a helper.
+LARGE = keystream._CONCURRENT_BYTES
 
 
 def test_concurrently_returns_results_in_call_order():
@@ -394,11 +424,11 @@ def test_concurrently_returns_results_in_call_order():
     def after(seconds, value):
         return lambda: time.sleep(seconds) or value
 
-    assert keystream._concurrently(after(0.03, "a"), after(0.01, "b"), after(0, "c")) == ["a", "b", "c"]
-    assert keystream._concurrently(lambda: 1, lambda: 2) == [1, 2]
+    assert keystream._concurrently(LARGE, after(0, "a"), after(0.03, "b"), after(0.01, "c")) == ["a", "b", "c"]
+    assert keystream._concurrently(LARGE, lambda: 1, lambda: 2) == [1, 2]
 
 
-def test_concurrently_runs_the_last_call_here_and_the_others_on_one_helper():
+def test_concurrently_runs_the_first_call_here_and_the_others_on_one_helper():
     idents = [None] * 3
 
     def call(i):
@@ -406,20 +436,33 @@ def test_concurrently_runs_the_last_call_here_and_the_others_on_one_helper():
             idents[i] = threading.get_ident()
         return record
 
-    keystream._concurrently(call(0), call(1), call(2))
-    assert idents[2] == threading.get_ident()
-    assert idents[0] == idents[1] != idents[2]
+    keystream._concurrently(LARGE, call(0), call(1), call(2))
+    assert idents[0] == threading.get_ident()
+    assert idents[1] == idents[2] != idents[0]
+
+
+@pytest.mark.parametrize("size, calls", [(LARGE - 1, 3), (LARGE, 1), (LARGE, 0)],
+                         ids=["below-the-rule", "one-call", "no-calls"])
+def test_concurrently_runs_a_small_task_or_one_call_here_in_turn(monkeypatch, size, calls):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(keystream, "threading", SimpleNamespace(Thread=no_thread))
+    idents = []
+    assert keystream._concurrently(size, *(lambda i=i: idents.append(threading.get_ident()) or i
+                                           for i in range(calls))) == list(range(calls))
+    assert idents == [threading.get_ident()] * calls
 
 
 @pytest.mark.parametrize("failing", [[0, 2], [1, 2], [1], [2], [0, 1]])
 def test_concurrently_raises_the_first_failure_in_call_order(failing):
-    # A helper's failure is raised even when the calling thread's call fails
+    # The calling thread's failure is raised even when a helper's call fails
     # sooner, and calls after a failed one still run.
     ran = []
 
     def call(i):
         def run():
-            time.sleep(0.02 if i < 2 else 0)
+            time.sleep(0.02 if i == 0 else 0)
             ran.append(i)
             if i in failing:
                 raise KeyError(i)
@@ -427,7 +470,7 @@ def test_concurrently_raises_the_first_failure_in_call_order(failing):
         return run
 
     with pytest.raises(KeyError) as info:
-        keystream._concurrently(call(0), call(1), call(2))
+        keystream._concurrently(LARGE, call(0), call(1), call(2))
     assert info.value.args == (min(failing),)
     assert sorted(ran) == [0, 1, 2]
 
@@ -444,7 +487,7 @@ def test_concurrently_joins_its_helper_when_this_threads_call_raises(error):
         raise error
 
     with pytest.raises(type(error)):
-        keystream._concurrently(slow, fail)
+        keystream._concurrently(LARGE, fail, slow)
     assert done == [True]
     assert threading.active_count() == threads
 
@@ -452,5 +495,5 @@ def test_concurrently_joins_its_helper_when_this_threads_call_raises(error):
 def test_concurrently_loads_the_kernel_on_the_calling_thread(monkeypatch):
     loaded, original = [], keystream._loaded
     monkeypatch.setattr(keystream, "_loaded", lambda: loaded.append(threading.get_ident()) or original())
-    keystream._concurrently(lambda: None, lambda: None)
+    keystream._concurrently(LARGE, lambda: None, lambda: None)
     assert loaded == [threading.get_ident()]
