@@ -49,8 +49,10 @@ def entropy_of_counts(counts) -> float:
     """
     counts = np.asarray(counts, dtype=np.float64)
     # The minimum first: summing -inf and inf would warn before this raised.
-    if counts.min(initial=0.0) < 0 or not math.isfinite(total := counts.sum()):
-        raise ValueError("histogram counts must be finite and non-negative")
+    # A sum of finite counts that overflows reads inf and is refused too.
+    with np.errstate(over="ignore"):
+        if counts.min(initial=0.0) < 0 or not math.isfinite(total := counts.sum()):
+            raise ValueError("histogram counts must be finite and non-negative")
     if total == 0:
         raise EmptyInput("entropy of an empty histogram is undefined")
     p = counts[counts > 0] / total

@@ -87,7 +87,7 @@ def test_entropy_empty_rejected():
 
 
 @pytest.mark.parametrize("counts", [[3, -3, 1], [1, -1, 2], [-0.5, 0, 0], [math.inf, 1], [-math.inf, 1],
-                                    [math.inf, -math.inf], [math.nan, 1], [0, math.nan]])
+                                    [math.inf, -math.inf], [math.nan, 1], [0, math.nan], [1e308, 1e308]])
 def test_entropy_rejects_negative_or_non_finite_counts(counts):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before numpy warns
