@@ -20,8 +20,12 @@ take_bytes(s, j + m). A sequence of frames is therefore keyed by windows
 of one keystream, frame i by the window that starts stride * i iterates
 past the first frame's start (stride = the frame size in continuous mode,
 PER_FRAME_STRIDE in per-frame mode). `transform_plane` draws all the
-windows of a batch of frames in one keystream call, and `process_stream`
-(the one frame loop, images included) makes one call per batch.
+windows of a batch of frames in one keystream walk. `_transform` is the one
+frame loop, images included: one `transform_plane` call per batch of small
+frames, or per piece of a large frame. `process_stream` and the CLI's
+`encrypt` and `decrypt` run it between a source and a sink
+(`keystream._pipeline`), which for a large stream read ahead and write
+behind on a helper thread.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from . import keystream
 from .errors import DimensionMismatch
@@ -42,13 +48,22 @@ BLOCK_SIZE = 8
 # it only has to be fixed.
 PER_FRAME_STRIDE = 17
 
-# Most plaintext bytes `process_stream` hands to one `transform_plane` call
+# Most plaintext bytes `_transform` hands to one `transform_plane` call
 # (or one frame, if a frame is larger), so memory is bounded by the batch.
 # Every temporary of a call is about batch-sized, and glibc hands out
 # blocks of 128 KiB or more as fresh pages (mmap, or a heap it trimmed back
 # to the system). On a 2-core x86-64 Xeon, batches of 96 KiB and more
 # page-faulted on every call and ran up to 2x slower per byte than 64 KiB.
 _BATCH_BYTES = 1 << 16
+
+# A frame larger than this is cut into pieces of at most this many bytes, one
+# `transform_plane` call each, so a helper can read the next piece and write
+# the last while this thread draws and masks. Each piece but the last is a
+# multiple of 8 bytes, so blocks stay aligned to the frame's start. A piece
+# costs this thread about 7 us (a 1080p RGB frame took 25.7 ms in 24 pieces
+# against 25.6 ms whole, 2-vCPU Xeon), and the helper's first read and last
+# write, which nothing overlaps, shrink with it.
+_PIECE_BYTES = 1 << 18
 
 
 class ReseedMode(Enum):
@@ -99,12 +114,6 @@ class Frame:
         return self.data[channel * size : (channel + 1) * size]
 
 
-def _cut(data, width: int, height: int, channels: int) -> list[Frame]:
-    """Frames cut from `data` by Python int geometry; a bytes slice of it all is that very object."""
-    size = width * height * channels
-    return [Frame(width, height, channels, bytes(data[i:i + size])) for i in range(0, len(data), size)]
-
-
 def _block(data) -> bytes:
     """`data` as bytes, refused unless it holds exactly one block: 8 items, 8 bytes."""
     if len(data) != BLOCK_SIZE or len(data := bytes(data)) != BLOCK_SIZE:  # items wider than a byte
@@ -148,9 +157,9 @@ def transform_plane(
     if not data:
         return b"", state
     frame_bytes, stride, span, end = keystream._windows(len(data), frame_bytes, stride)
-    key, after = keystream.take_bytes(state, max(span, end))  # key[:span] is key when span >= end
-    if end < span:  # the windows overlap, so frame n starts inside the last one
-        after = keystream.skip(state, end)
+    key, after = keystream.take_bytes(state, end)  # key[:span] is key when span == end
+    if end < span:  # the windows overlap: frame n starts inside the last one, drawn on from there
+        key += keystream.take_bytes(after, span - end)[0]
     return keystream._mask(key[:span], data, frame_bytes, stride), after
 
 
@@ -163,11 +172,106 @@ def encrypt_image(frame: Frame, key: KeyMaterial) -> Frame:
 decrypt_image = encrypt_image
 
 
-def _check_same_shape(frames: Sequence[Frame]) -> None:
-    first = frames[0].shape
-    for f in frames[1:]:
-        if f.shape != first:
-            raise DimensionMismatch(f"frame shapes differ: {first} vs {f.shape}")
+def _check_same_shape(shapes: Sequence[tuple[int, int, int]]) -> None:
+    first = shapes[0]
+    for shape in shapes[1:]:
+        if shape != first:
+            raise DimensionMismatch(f"frame shapes differ: {first} vs {shape}")
+
+
+class _Stream(NamedTuple):
+    """What a stream of frames is: `count` frames of one shape, keyed under `reseed`."""
+
+    width: int
+    height: int
+    channels: int
+    count: int
+    reseed: ReseedMode
+
+    @property
+    def size(self) -> int:
+        """Bytes per frame."""
+        return self.width * self.height * self.channels
+
+
+def _plan(size: int, count: int) -> Iterator[tuple[int, int]]:
+    """The [start, stop) byte ranges of `count` frames of `size` bytes, one per
+    `transform_plane` call of `_transform`: as many whole frames as fit in
+    _BATCH_BYTES, at least one, or the pieces of a frame larger than
+    _PIECE_BYTES, of near-equal lengths that are multiples of 8."""
+    if size > _PIECE_BYTES:
+        pieces = -(-size // _PIECE_BYTES)
+        piece = -(-size // (8 * pieces)) * 8
+        for frame in range(0, size * count, size):
+            for start in range(frame, frame + size, piece):
+                yield start, min(start + piece, frame + size)
+    else:
+        batch, total = size * max(1, _BATCH_BYTES // size), size * count
+        for start in range(0, total, batch):
+            yield start, min(start + batch, total)
+
+
+def _pieces(stream: _Stream, part: Callable[[int, int, int], object]) -> Iterator:
+    """The inputs of `_plan` for `stream`, from part(i, start, stop), the bytes
+    [start, stop) of frame i: a piece as one part, a batch as its frames joined."""
+    size = stream.size
+    for start, stop in _plan(size, stream.count):
+        i, offset = divmod(start, size)
+        if stop - start < size:
+            yield part(i, offset, offset + stop - start)
+        elif stop - start == size:
+            yield part(i, 0, size)
+        else:
+            yield b"".join(part(j, 0, size) for j in range(i, stop // size))
+
+
+def _transform(inputs: Iterable, key: KeyMaterial, stream: _Stream) -> Iterator[bytes]:
+    """The frame loop: the output of each input of `_plan` for `stream`, in turn.
+
+    A batch of whole frames is one `transform_plane` call, its frames keyed
+    `stride` iterates apart. A frame cut into pieces is keyed back to back
+    from its start, one call per piece, and the next frame starts `stride`
+    past its start. Either way frame i is keyed exactly as `transform_plane`
+    keys it: stride is the frame size (continuous) or PER_FRAME_STRIDE.
+    """
+    size = stream.size
+    stride = size if stream.reseed is ReseedMode.CONTINUOUS else PER_FRAME_STRIDE
+    state = keystream.seed(key)
+    for (start, stop), data in zip(_plan(size, stream.count), inputs):
+        if stop - start >= size:
+            data, state = transform_plane(data, state, size, stride)
+        else:
+            if start % size == 0:
+                first = state
+            data, state = transform_plane(data, state)
+            if stop % size == 0 and stride != size:
+                state = keystream.skip(first, stride)
+        yield data
+
+
+def _frame_data(parts: Iterable, size: int) -> Iterator:
+    """Each frame's bytes, from parts that are the outputs of `_transform` or
+    any other parts cut as `_plan` cuts: a part of whole frames is sliced into
+    them (a one-frame bytes part is itself), a frame's pieces are copied
+    into one new bytes object."""
+    filled = 0
+    for out in parts:
+        if len(out) >= size:
+            yield from [out[i:i + size] for i in range(0, len(out), size)]
+            continue
+        if not filled:
+            frame, view = keystream._new_array(size)
+        view[filled:filled + len(out)] = np.frombuffer(out, np.uint8)
+        if (filled := filled + len(out)) == size:
+            yield frame
+            filled = 0
+
+
+def _cut(parts: Iterable, width: int, height: int, channels: int) -> list[Frame]:
+    """Frames of Python int geometry from the parts of `_frame_data`; a bytes part
+    that is one whole frame becomes that frame's data as it is."""
+    return [Frame(width, height, channels, bytes(data))  # bytes of bytes is that very object
+            for data in _frame_data(parts, width * height * channels)]
 
 
 def process_stream(
@@ -175,21 +279,25 @@ def process_stream(
 ) -> list[Frame]:
     """Encrypt/decrypt a frame sequence under reseed `mode`, a `ReseedMode` or its value.
 
-    Frames go through `transform_plane` in batches of at most _BATCH_BYTES
-    (or one frame, if a frame is larger), one call per batch; `_cut` splits its output.
+    The frames run through `_transform` (batches of at most _BATCH_BYTES,
+    or pieces of a frame larger than _PIECE_BYTES) between the frames' bytes
+    and `_frame_data`, on two threads for a large stream (`keystream._pipeline`).
     """
     mode = ReseedMode(mode)
     frames = list(frames)
     if not frames:
         return []
-    _check_same_shape(frames)
-    size = len(frames[0].data)
-    stride = size if mode is ReseedMode.CONTINUOUS else PER_FRAME_STRIDE
-    per_batch = max(1, _BATCH_BYTES // size)
-    out = []
-    state = keystream.seed(key)
-    for first in range(0, len(frames), per_batch):
-        batch = b"".join(f.data for f in frames[first:first + per_batch])
-        data, state = transform_plane(batch, state, size, stride)
-        out.extend(_cut(data, *frames[0].shape))
-    return out
+    _check_same_shape([f.shape for f in frames])
+    stream = _Stream(*frames[0].shape, len(frames), mode)
+    datas, size = [f.data for f in frames], stream.size
+
+    def inputs() -> Iterator:  # whole frames joined (one frame's join is its bytes), or a piece as a view
+        for start, stop in _plan(size, len(datas)):
+            if stop - start >= size:
+                yield b"".join(datas[start // size:stop // size])
+            else:
+                yield keystream._view(datas[start // size])[start % size:start % size + stop - start]
+
+    return keystream._pipeline(size * len(datas), inputs(),
+                               lambda items: _transform(items, key, stream),
+                               lambda outputs: _cut(outputs, *frames[0].shape))

@@ -15,13 +15,19 @@ import contextlib
 import ctypes
 import os
 import secrets
+import stat
 import sys
 from pathlib import Path
+from typing import Callable, Iterator
+
+import numpy as np
 
 from . import analysis, keystream
-from .cipher import Frame, ReseedMode, process_stream
+from .cipher import (Frame, ReseedMode, _check_same_shape, _frame_data, _pieces, _plan, _Stream, _transform,
+                     process_stream)
 from .errors import FixedPointError, FormatError, ParseError, RangeError
-from .io import MAGIC, _container_parts, container_mode_for, read_container, read_pnm, read_raw, write_pnm
+from .io import (HEADER_SIZE, MAGIC, _container_parts, _parse_container, _parse_pnm, _parse_raw, _planes,
+                 _pnm_parts, container_mode_for, read_container, read_pnm, read_raw)
 from .keystream import DEFAULT_BURN_IN, KeyMaterial, _publish, derive_key_from_hex, derive_key_from_params
 
 EXIT_OK = 0
@@ -143,49 +149,155 @@ def _write(path, parts) -> None:
         file.writelines(parts)
 
 
-def _load_input_frames(args: argparse.Namespace) -> list[Frame]:
-    if args.width is not None or args.height is not None:
-        if args.width is None or args.height is None:
-            raise FormatError("raw input needs both --width and --height")
-        if len(args.inputs) != 1:
-            raise FormatError("raw input takes exactly one --in path")
-        return read_raw(_read(args.inputs[0]), args.width, args.height, args.channels)
-    return [read_pnm(_read(path)) for path in args.inputs]
+def _size(file) -> int:
+    """The size of the open `file` if it is a regular file, else -1."""
+    status = os.fstat(file.fileno())
+    return status.st_size if stat.S_ISREG(status.st_mode) else -1
+
+
+# The first bytes of an input that `_read_ahead` reads at once, for its header.
+_HEAD_BYTES = 1 << 16
+
+
+def _read_ahead(file) -> tuple[object, Callable[[int], None]]:
+    """The bytes of `file` in one buffer of its size, made on this thread, and
+    upto(n), which reads on until the first n of them are in. The first
+    _HEAD_BYTES are read at once and the rest as upto asks, which a helper
+    does ahead of the frame loop; a file no larger, or not regular, is read
+    whole at once."""
+    if (size := _size(file)) <= _HEAD_BYTES:
+        return file.read(), lambda n: None
+    data, filled = np.empty(size, np.uint8), 0
+
+    def upto(n: int) -> None:
+        nonlocal filled
+        while filled < n:
+            if not (got := file.readinto(data[filled:n])):
+                raise FormatError(f"the input ended after {filled} of its {size} bytes")
+            filled += got
+
+    upto(_HEAD_BYTES)
+    return data, upto
+
+
+def _parse_pnm_ahead(data, upto: Callable[[int], None]) -> tuple:
+    """`_parse_pnm` of a buffer from `_read_ahead`: of its first bytes if they
+    hold the header, else of the whole file once it is read."""
+    with contextlib.suppress(FormatError):
+        if len(data) - len((pnm := _parse_pnm(data))[3]) <= _HEAD_BYTES:
+            return pnm
+    upto(len(data))
+    return _parse_pnm(data)
+
+
+def _views(data, stream: _Stream, upto: Callable[[int], None], offset: int = 0) -> Iterator:
+    """The inputs of `_plan` for `stream`, as views into `data`, which holds its
+    frames back to back; the file is read up to each before it is handed on."""
+    for start, stop in _plan(stream.size, stream.count):
+        upto(offset + stop)
+        yield data[start:stop]
+
+
+def _kept(items, kept: list) -> Iterator:
+    """`items`, each also appended to `kept`."""
+    for item in items:
+        kept.append(item)
+        yield item
+
+
+# `encrypt` and `decrypt` take one of two paths, by their input file's size
+# against keystream's size rule. Below it (video-perframe-8x8's 128 KB, say)
+# the input is read whole into Frames, which `process_stream` transforms. At
+# or above it, the input is streamed: its header is checked, here, before any
+# output is opened, then cipher's frame loop, `_transform`, runs here between
+# the input's pieces and a sink, and `keystream._pipeline` runs the pieces'
+# making (the rest of the read, then PPM de-interleaving or views) and the sink
+# on a helper thread. Both call only private functions, so every public one
+# runs here. The input's buffers (`_read_ahead`'s, and `_planes`' for RGB) are
+# made here too, so they come from this thread's glibc arena, whose pages the
+# next call reuses, and not from the helper's. Both paths write through the
+# same sink and give the same bytes; the streamed one makes no object per
+# frame, which ROADMAP item 7 extends to small inputs.
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     key = _key_from_args(args)
     reseed = ReseedMode(args.reseed)
-    encrypted = process_stream(_load_input_frames(args), key, reseed)
-    mode = container_mode_for(encrypted[0].channels, video=len(encrypted) > 1)
-    out = Path(args.out)
-    _write(out, _container_parts(encrypted, mode, reseed))  # no container-sized join
-    if args.as_pnm:
-        for i, f in enumerate(encrypted):
-            suffix = ".pgm" if f.channels == 1 else ".ppm"
-            name = out.name + (suffix if len(encrypted) == 1 else f".frame-{i:06d}{suffix}")
-            _write(out.with_name(name), [write_pnm(f)])
-    print(f"encrypted {len(encrypted)} frame(s) -> {out}", file=sys.stderr)
+    raw = args.width is not None or args.height is not None
+    if raw and (args.width is None or args.height is None):
+        raise FormatError("raw input needs both --width and --height")
+    if raw and len(args.inputs) != 1:
+        raise FormatError("raw input takes exactly one --in path")
+    with open(args.inputs[0], "rb", buffering=0) as file:
+        frames = None
+        if not keystream._helped(size := _size(file) * len(args.inputs)):
+            data = file.read()
+            frames = process_stream(read_raw(data, args.width, args.height, args.channels) if raw else
+                                    [read_pnm(data), *(read_pnm(_read(path)) for path in args.inputs[1:])],
+                                    key, reseed)
+            stream = _Stream(*frames[0].shape, len(frames), reseed)
+        elif raw:
+            data, upto = _read_ahead(file)
+            view, width, height, channels = _parse_raw(data, args.width, args.height, args.channels)
+            stream = _Stream(width, height, channels, len(view) // (width * height * channels), reseed)
+            inputs = _views(view, stream, upto)
+        else:
+            data, upto = _read_ahead(file)
+            pnms = [_parse_pnm_ahead(data, upto), *(_parse_pnm(_read(path)) for path in args.inputs[1:])]
+            _check_same_shape([pnm[:3] for pnm in pnms])
+            stream = _Stream(*pnms[0][:3], len(pnms), reseed)
+            header = len(data) - len(pnms[0][3])
+            inputs = _pieces(stream, _planes([pnm[3] for pnm in pnms], stream.channels,
+                                             lambda i, n: upto(header + n) if i == 0 else None))
+        mode = container_mode_for(stream.channels, video=stream.count > 1)
+        out = Path(args.out)
+
+        def sink(outputs: Iterator) -> None:
+            kept = []
+            _write(out, _container_parts(stream, mode, _kept(outputs, kept) if args.as_pnm else outputs))
+            suffix = ".pgm" if stream.channels == 1 else ".ppm"
+            for i, frame in enumerate(_frame_data(kept, stream.size)):
+                name = out.name + (suffix if stream.count == 1 else f".frame-{i:06d}{suffix}")
+                _write(out.with_name(name), _pnm_parts([frame], *stream[:3]))
+
+        if frames is not None:
+            sink(f.data for f in frames)
+        else:
+            keystream._pipeline(size, inputs, lambda items: _transform(items, key, stream), sink)
+    print(f"encrypted {stream.count} frame(s) -> {out}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     key = _key_from_args(args)
-    frames, _mode, reseed = read_container(_read(args.inputs))
-    decrypted = process_stream(frames, key, reseed)
-    del frames  # so the output below is built while only one other copy is alive
-    out = Path(args.out)
-    if args.as_pnm:
-        if len(decrypted) == 1:
-            _write(out, [write_pnm(decrypted[0])])
+    with open(args.inputs, "rb", buffering=0) as file:
+        frames = None
+        if not keystream._helped(size := _size(file)):
+            frames, _mode, reseed = read_container(file.read())
+            stream = _Stream(*frames[0].shape, len(frames), reseed)
+            frames = process_stream(frames, key, reseed)
         else:
-            out.mkdir(parents=True, exist_ok=True)
-            suffix = ".pgm" if decrypted[0].channels == 1 else ".ppm"
-            for i, f in enumerate(decrypted):
-                _write(out / f"frame-{i:06d}{suffix}", [write_pnm(f)])
-    else:
-        _write(out, (f.data for f in decrypted))
-    print(f"decrypted {len(decrypted)} frame(s) -> {out}", file=sys.stderr)
+            data, upto = _read_ahead(file)
+            stream, _mode, payload = _parse_container(data)
+        out = Path(args.out)
+
+        def sink(outputs: Iterator) -> None:
+            if not args.as_pnm:
+                _write(out, outputs)
+            elif stream.count == 1:
+                _write(out, _pnm_parts(outputs, *stream[:3]))
+            else:
+                out.mkdir(parents=True, exist_ok=True)
+                suffix = ".pgm" if stream.channels == 1 else ".ppm"
+                for i, frame in enumerate(_frame_data(outputs, stream.size)):
+                    _write(out / f"frame-{i:06d}{suffix}", _pnm_parts([frame], *stream[:3]))
+
+        if frames is not None:
+            sink(f.data for f in frames)
+        else:
+            keystream._pipeline(size, _views(payload, stream, upto, HEADER_SIZE),
+                                lambda items: _transform(items, key, stream), sink)
+    print(f"decrypted {stream.count} frame(s) -> {out}", file=sys.stderr)
     return EXIT_OK
 
 

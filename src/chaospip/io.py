@@ -22,13 +22,20 @@ concatenated, each channel-planar). The header never carries key material.
 
 Raw side: `read_raw` checks concatenated channel-planar frames from raw
 video files and container payloads, then cuts them into Frames with
-`cipher._cut`, the cutter that also slices `process_stream`'s output.
+`cipher._cut`, the cutter that also assembles `process_stream`'s output.
+
+Each reader checks its input in a private parser (`_parse_pnm`,
+`_parse_container`, `_parse_raw`) that returns views into it, and the
+PNM reader and writer (de-)interleave through `_columns`. For a large
+input, the CLI's `encrypt` and `decrypt` call the parsers, then hand
+`_planes`' pieces and the part writers (`_pnm_parts`, `_container_parts`)
+to a helper thread, which runs private code only (`keystream._pipeline`).
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import operator
 import re
@@ -36,7 +43,7 @@ import struct
 
 import numpy as np
 
-from .cipher import Frame, ReseedMode, _check_same_shape, _cut
+from .cipher import Frame, ReseedMode, _Stream, _check_same_shape, _cut
 from .errors import FormatError
 from .keystream import _new_array, _view
 
@@ -78,8 +85,9 @@ def container_mode_for(channels: int, video: bool) -> ContainerMode:
     raise ValueError(f"channels must be 1 or 3, got {channels!r}")
 
 
-def read_pnm(data: bytes) -> Frame:
-    """Parse a binary PGM/PPM, any bytes-like object, into a Frame (PPM becomes planar)."""
+def _parse_pnm(data) -> tuple[int, int, int, memoryview]:
+    """Width, height, channels and raster of a binary PGM/PPM, any bytes-like
+    object, checked as `read_pnm` checks them; the raster is a view into `data`."""
     data = _view(data)  # the payload is read in place, not sliced off as a copy
     magic = data[:2].tobytes()
     if magic not in (b"P5", b"P6"):
@@ -97,23 +105,78 @@ def read_pnm(data: bytes) -> Frame:
         raise FormatError(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise FormatError(f"only maxval 255 is supported, got {maxval}")
-    payload = data[header.end():]
+    raster = data[header.end():]
     expected = width * height * channels
-    if len(payload) < expected:
-        raise FormatError(f"truncated payload: {len(payload)} bytes, expected {expected}")
-    if len(payload) > expected:
-        raise FormatError(f"trailing data after payload: {len(payload) - expected} bytes")
+    if len(raster) < expected:
+        raise FormatError(f"truncated payload: {len(raster)} bytes, expected {expected}")
+    if len(raster) > expected:
+        raise FormatError(f"trailing data after payload: {len(raster) - expected} bytes")
+    return width, height, channels, raster
+
+
+def _columns(pixels: np.ndarray, start: int, stop: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(a, b, column) for each channel that planar bytes [start, stop) of an
+    interleaved raster cross, where `pixels` is the raster as an (n, 3) array:
+    planar bytes [start + a, start + b) are `column`, a strided view of `pixels`."""
+    n, offset = len(pixels), start
+    while start < stop:
+        channel, pixel = divmod(start, n)
+        end = min(stop, (channel + 1) * n)
+        yield start - offset, end - offset, pixels[pixel:pixel + end - start, channel]
+        start = end
+
+
+def _deinterleave(raster, out: np.ndarray, start: int) -> None:
+    """Fill `out` with planar bytes [start, start + len(out)) of an RGB raster."""
+    pixels = np.frombuffer(raster, np.uint8).reshape(-1, 3)
+    for a, b, column in _columns(pixels, start, start + len(out)):
+        out[a:b] = column
+
+
+def _interleave(planar, raster: np.ndarray, start: int) -> None:
+    """Put planar bytes [start, start + len(planar)) in their places in an RGB raster."""
+    planar = np.frombuffer(planar, np.uint8)
+    for a, b, column in _columns(raster.reshape(-1, 3), start, start + len(planar)):
+        column[...] = planar[a:b]
+
+
+def _planes(rasters: list, channels: int,
+            upto: Callable[[int, int], None]) -> Callable[[int, int, int], object]:
+    """part(i, start, stop), planar bytes [start, stop) of frame i from its
+    raster from `_parse_pnm`, after upto(i, n) for the first n bytes of the
+    raster that they come from: a slice of a gray raster, or a view of an RGB
+    one's planar buffer, de-interleaved as the view is asked for. The buffers
+    are made here, by the calling thread, so a helper that calls part
+    allocates nothing frame-sized."""
+    if channels == 1:
+        return lambda i, start, stop: upto(i, stop) or rasters[i][start:stop]
+    planar = [np.empty(len(raster), np.uint8) for raster in rasters]
+
+    def part(i: int, start: int, stop: int) -> np.ndarray:
+        upto(i, 3 * min(stop, len(planar[i]) // 3))  # a piece in the red plane needs its pixels only
+        _deinterleave(rasters[i], planar[i][start:stop], start)
+        return planar[i][start:stop]
+
+    return part
+
+
+def read_pnm(data: bytes) -> Frame:
+    """Parse a binary PGM/PPM, any bytes-like object, into a Frame (PPM becomes planar)."""
+    width, height, channels, raster = _parse_pnm(data)
     if channels == 3:  # de-interleaved straight into the Frame's bytes
-        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-        payload, planes = _new_array(expected)
-        planes.reshape(3, -1)[...] = pixels.T
-    return Frame(width, height, channels, payload)
+        payload, planes = _new_array(len(raster))
+        _deinterleave(raster, planes, 0)
+        raster = payload
+    return Frame(width, height, channels, raster)
+
+
+def _pnm_header(width: int, height: int, channels: int) -> bytes:
+    return f"{'P5' if channels == 1 else 'P6'}\n{width} {height}\n255\n".encode("ascii")
 
 
 def write_pnm(frame: Frame) -> bytes:
     """Serialize a Frame as canonical binary PGM/PPM."""
-    magic = "P5" if frame.channels == 1 else "P6"
-    header = f"{magic}\n{frame.width} {frame.height}\n255\n".encode("ascii")
+    header = _pnm_header(*frame.shape)
     if frame.channels == 1:
         return header + frame.data
     # One channel at a time into the output bytes, which already hold the
@@ -123,41 +186,60 @@ def write_pnm(frame: Frame) -> bytes:
     # (medians of 30 calls in a loop, 2-core Xeon, numpy 2.4.6).
     out, buffer = _new_array(len(header) + len(frame.data))
     buffer[:len(header)] = np.frombuffer(header, dtype=np.uint8)
-    pixels = buffer[len(header):].reshape(-1, 3)
-    for c, plane in enumerate(np.frombuffer(frame.data, dtype=np.uint8).reshape(3, -1)):
-        pixels[:, c] = plane
+    _interleave(frame.data, buffer[len(header):], 0)
     return out
+
+
+def _pnm_parts(planar: Iterable, width: int, height: int, channels: int) -> Iterator:
+    """A canonical binary PGM/PPM in parts, from its frame's planar bytes in
+    parts of any lengths, in order: the header, then each run of the raster
+    whose pixels are whole, as soon as they are (a PPM's in its last plane)."""
+    yield _pnm_header(width, height, channels)
+    if channels == 1:
+        yield from planar
+        return
+    raster, n, filled, written = np.empty(width * height * 3, np.uint8), width * height, 0, 0
+    for part in planar:
+        _interleave(part, raster, filled)
+        filled += len(part)
+        if (whole := 3 * (filled - 2 * n)) > written:
+            yield raster[written:whole]
+            written = whole
 
 
 def write_container(
     frames: Iterable[Frame], mode: ContainerMode, reseed: ReseedMode
 ) -> bytes:
     """Serialize encrypted frames with the bit-exact 20-byte header."""
-    return b"".join(_container_parts(frames, mode, reseed))
-
-
-def _container_parts(frames: Iterable[Frame], mode: ContainerMode, reseed: ReseedMode) -> list:
-    """The container of `write_container` as its header and each frame's
-    data, checked whole before the first part is returned."""
     mode, reseed = ContainerMode(mode), ReseedMode(reseed)
     frames = list(frames)
     if not frames:
         raise ValueError("a container needs at least one frame")
-    _check_same_shape(frames)
-    first = frames[0]
-    if first.channels != mode.channels:
-        raise ValueError(f"{mode.name} expects {mode.channels}-channel frames, got {first.channels}")
+    _check_same_shape([f.shape for f in frames])
+    if frames[0].channels != mode.channels:
+        raise ValueError(f"{mode.name} expects {mode.channels}-channel frames, got {frames[0].channels}")
     if not mode.is_video and len(frames) != 1:
         raise ValueError(f"{mode.name} must hold exactly one frame, got {len(frames)}")
-    reseed_byte = 1 if reseed is ReseedMode.PER_FRAME else 0
-    header = _HEADER.pack(
-        MAGIC, VERSION, int(mode), reseed_byte, 0, first.width, first.height, len(frames)
-    )
-    return [header, *(f.data for f in frames)]
+    stream = _Stream(*frames[0].shape, len(frames), reseed)
+    return b"".join(_container_parts(stream, mode, (f.data for f in frames)))
+
+
+def _container_parts(stream: _Stream, mode: ContainerMode, payload: Iterable) -> Iterator:
+    """A container of `stream` in parts: the header, then the parts of `payload`."""
+    yield _HEADER.pack(MAGIC, VERSION, int(mode), 1 if stream.reseed is ReseedMode.PER_FRAME else 0,
+                       0, stream.width, stream.height, stream.count)
+    yield from payload
 
 
 def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]:
     """Parse and validate a container, any bytes-like object, returning its frames and modes."""
+    stream, mode, payload = _parse_container(data)
+    return _cut([payload], *stream[:3]), mode, stream.reseed
+
+
+def _parse_container(data) -> tuple[_Stream, ContainerMode, memoryview]:
+    """The stream, mode and payload of a container, any bytes-like object,
+    checked as `read_container` checks them; the payload is a view into `data`."""
     data = _view(data)
     if len(data) < HEADER_SIZE:
         raise FormatError("container shorter than its header")
@@ -180,11 +262,18 @@ def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]
     expected = HEADER_SIZE + count * width * height * mode.channels
     if len(data) != expected:
         raise FormatError(f"payload length {len(data) - HEADER_SIZE}, expected {expected - HEADER_SIZE}")
-    return read_raw(data[HEADER_SIZE:], width, height, mode.channels), mode, reseed
+    return _Stream(width, height, mode.channels, count, reseed), mode, data[HEADER_SIZE:]
 
 
 def read_raw(data: bytes | memoryview, width: int, height: int, channels: int) -> list[Frame]:
     """Cut concatenated channel-planar frames, any bytes-like object, into Frames, one copy each."""
+    view, width, height, channels = _parse_raw(data, width, height, channels)
+    return _cut([view], width, height, channels)
+
+
+def _parse_raw(data, width: int, height: int, channels: int) -> tuple[memoryview, int, int, int]:
+    """`data`, any bytes-like object, as a view, and the frame geometry as
+    Python ints, checked as `read_raw` checks them."""
     width, height, channels = map(operator.index, (width, height, channels))  # no numpy wrap
     if width < 1 or height < 1 or channels not in (1, 3):
         raise FormatError(f"bad raw geometry {width}x{height}x{channels}")
@@ -192,4 +281,4 @@ def read_raw(data: bytes | memoryview, width: int, height: int, channels: int) -
     view = _view(data)
     if not view or len(view) % frame_bytes:
         raise FormatError(f"raw data holds {len(view)} bytes, not a positive multiple of {frame_bytes}")
-    return _cut(view, width, height, channels)
+    return view, width, height, channels

@@ -57,11 +57,18 @@ its buffers unchecked; `_mask` refuses any geometry they do not fit, and
 (2, 256) int64 array it made for the counts.
 
 The kernel's operations keep no shared state: each reads its arguments and
-writes only buffers it made. So `_concurrently` may run calls on a helper
-thread, and it alone decides when (`_CONCURRENT_BYTES`): `compare_frames`
-hands it an RGB pair's channel passes, and the CLI's `analyze` its two reads.
-One key's keystream is a serial chain, each state made from the one before,
-so no helper can share its work.
+writes only buffers it made. So work may run on a helper thread, and one
+size rule, `_helped` (`_CONCURRENT_BYTES`), decides when, in two forms.
+`_concurrently` runs independent calls: `compare_frames` hands it an RGB
+pair's channel passes, and the CLI's `analyze` its two reads. `_pipeline`
+runs a stream: the frame loop (`cipher._transform`) draws and masks on the
+calling thread while the helper makes the loop's next input and writes its
+last output (`process_stream`, and the CLI's `encrypt` and `decrypt` of an
+input file the rule passes). One key's
+keystream is a serial chain, each state made from the one before, so no
+helper can share the draw; it can only take the other work off the calling
+thread. Helpers run private code only, so every public function runs on the
+calling thread, and one helper runs at a time.
 """
 
 from __future__ import annotations
@@ -73,13 +80,14 @@ import math
 import numbers
 import operator
 import os
+import queue
 import stat
 import string
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -324,19 +332,41 @@ def _moments(a: np.ndarray, b: np.ndarray) -> tuple[_Moments, np.ndarray]:
     return _loaded().moments(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
-# The smallest task worth a helper thread in `_concurrently`: a thread costs 0.1-0.3 ms
-# on a 2-vCPU Xeon, and analyze's passes and reads both gain from 1 MB up.
+# The smallest task worth a helper thread in `_concurrently` and `_pipeline`: a thread
+# costs 0.1-0.3 ms on a 2-vCPU Xeon, and analyze's passes and reads both gain from
+# 1 MB up. video-perframe-8x8's 128 KB streams stay on one thread.
 _CONCURRENT_BYTES = 1 << 20
+
+
+def _helped(size: int) -> bool:
+    """Whether a task of `size` bytes takes a helper thread: the one size rule."""
+    return size >= _CONCURRENT_BYTES
+
+
+def _join(helper: threading.Thread) -> None:
+    """Join `helper`, and on Linux wait until its thread is gone. join()
+    returns as the helper's Python code ends; glibc puts the thread's arena
+    back for the next thread only as the thread exits, just after. A helper
+    started before that gets a new arena, whose pages fault in afresh: on a
+    2-vCPU guest, 4 of 14 runs of the command sequence of
+    test_cli_calls_reuse_heap_pages_after_warm_up did so."""
+    helper.join()
+    task = f"/proc/self/task/{helper.native_id}"
+    for _ in range(1000):  # a bound, should another thread take the id at once
+        if not os.path.exists(task):
+            break
+        os.sched_yield()
 
 
 def _concurrently(size: int, *calls: Callable[[], object]) -> list:
     """The results of `calls`, functions of no arguments, in call order. Two or more calls
-    for a task of `size` >= `_CONCURRENT_BYTES` bytes run the first here and the others in turn
-    on one helper thread, joined before this returns or raises the first failure in call order;
-    else all run here in turn. Helpers may run kernel operations, which keep no shared state;
-    the kernel is loaded here first, as `functools.cache` has no lock. One helper at a time
-    reuses its predecessor's glibc arena and pages, where two would fault in a second's."""
-    if size < _CONCURRENT_BYTES or len(calls) < 2:
+    for a task of `size` bytes that `_helped` passes (the rule `_pipeline` and the CLI's
+    `encrypt` and `decrypt` apply too) run the first here and the others in turn on one helper thread, joined before this
+    returns or raises the first failure in call order; else all run here in turn. Helpers may
+    run kernel operations, which keep no shared state; the kernel is loaded here first, as
+    `functools.cache` has no lock. One helper at a time reuses its predecessor's glibc arena
+    and pages, where two would fault in a second's."""
+    if not _helped(size) or len(calls) < 2:
         return [call() for call in calls]
     _loaded()
     results, errors = [None] * len(calls), {}
@@ -353,10 +383,76 @@ def _concurrently(size: int, *calls: Callable[[], object]) -> list:
     try:
         run([0])
     finally:
-        helper.join()
+        _join(helper)
     if errors:
         raise errors[min(errors)]
     return results
+
+
+# Items `_pipeline`'s helper reads ahead of the transform: the next one is
+# ready when the transform asks for it, and few are held at once.
+_AHEAD = 2
+_END, _STOP = object(), object()  # what the transform hands the helper last
+
+
+class _Stopped(Exception):
+    """Raised into a pipeline's sink when its transform failed, so that it publishes nothing."""
+
+
+def _pipeline(size: int, source: Iterable, transform: Callable[[Iterator], Iterator],
+              sink: Callable[[Iterator], object]):
+    """sink(transform(source)), where `transform` gives one item out per item in.
+
+    For a task of `size` bytes that `_helped` passes, `transform` runs here
+    and `source` and `sink` on one helper thread, which reads _AHEAD items
+    ahead of the transform and gives the sink each result once it is made.
+    Else all runs here, one item through at a time. Both run the same code
+    on each item in the same order, and raise the same failure: the
+    helper's if it failed first (this thread then stops at the next item),
+    else the transform's, with `_Stopped` raised into the sink. The helper
+    is joined before this returns or raises, and the kernel is loaded here
+    first, as in `_concurrently`.
+    """
+    if not _helped(size):
+        return sink(transform(source))
+    _loaded()
+    inbox, outbox, done, failed = queue.SimpleQueue(), queue.SimpleQueue(), [], []
+
+    def fed() -> Iterator:  # the sink's items, with the source read ahead
+        items = iter(source)
+        for _ in range(_AHEAD):
+            inbox.put(next(items, _END))
+        while (item := outbox.get()) is not _END:
+            if item is _STOP:
+                raise _Stopped("the transform failed")
+            inbox.put(next(items, _END))
+            yield item
+
+    def serve() -> None:
+        try:
+            done.append(sink(fed()))
+        except BaseException as exc:  # raised on the calling thread, after the join
+            failed.append(exc)
+        finally:
+            inbox.put(_END)  # the transform may wait for an item
+
+    def taken() -> Iterator:
+        while (item := inbox.get()) is not _END:
+            yield item
+
+    helper = threading.Thread(target=serve)
+    helper.start()
+    last = _STOP
+    try:
+        for item in transform(taken()):
+            outbox.put(item)
+        last = _END
+    finally:
+        outbox.put(last)
+        _join(helper)
+    if failed:
+        raise failed[0]
+    return done[0]
 
 
 # ---------------------------------------------------------------- kernels

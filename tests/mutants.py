@@ -83,12 +83,12 @@ CATALOGUE = [
            "key bytes are whitened with the next counter value"),
     # The size rule and the fork-join helper that carries it out.
     Mutant("src/chaospip/keystream.py",
-           "if size < _CONCURRENT_BYTES or len(calls) < 2:",
-           "if size <= _CONCURRENT_BYTES or len(calls) < 2:",
+           "return size >= _CONCURRENT_BYTES",
+           "return size > _CONCURRENT_BYTES",
            "a task of exactly _CONCURRENT_BYTES runs serially"),
     Mutant("src/chaospip/keystream.py",
-           "if size < _CONCURRENT_BYTES or len(calls) < 2:",
-           "if size < _CONCURRENT_BYTES or len(calls) < 1:",
+           "if not _helped(size) or len(calls) < 2:",
+           "if not _helped(size) or len(calls) < 1:",
            "a single call, such as a gray frame's one pass, starts an idle helper"),
     Mutant("src/chaospip/keystream.py",
            "raise errors[min(errors)]",
@@ -112,6 +112,43 @@ CATALOGUE = [
            "size = os.path.getsize(args.cipher) if os.path.isfile(args.cipher) else -1",
            "size = os.path.getsize(args.cipher)",
            "a missing cipher file fails before the plain file is read"),
+    # The frame loop on two threads (keystream._pipeline) and the pieces it hands on.
+    Mutant("src/chaospip/cipher.py",
+           "yield start, min(start + piece, frame + size)",
+           "yield start, min(start + piece + 8, frame + size)",
+           "each piece of a frame is 8 bytes too long, so pieces overlap"),
+    Mutant("src/chaospip/keystream.py",
+           "    if not _helped(size):\n        return sink(transform(source))",
+           "    if not _helped(size - 1):\n        return sink(transform(source))",
+           "the loop's call applies the size rule with <= : a stream of exactly _CONCURRENT_BYTES runs serially"),
+    Mutant("src/chaospip/cli.py",
+           "if not keystream._helped(size := _size(file)):",
+           "if not keystream._helped((size := _size(file)) - 1):",
+           "decrypt reads a container of exactly _CONCURRENT_BYTES whole into Frames, with no helper"),
+    Mutant("src/chaospip/keystream.py",
+           "while (item := inbox.get()) is not _END:",
+           "while (item := inbox.get_nowait()) is not _END:",
+           "the loop reads a piece without waiting for the helper to hand it in"),
+    Mutant("src/chaospip/cipher.py",
+           "key += keystream.take_bytes(after, span - end)[0]",
+           "key += keystream.take_bytes(after, span - end - 1)[0]",
+           "the split draw of overlapping windows draws one key byte too few after frame n's start"),
+    Mutant("src/chaospip/cipher.py",
+           "state = keystream.skip(first, stride)",
+           "state = keystream.skip(state, stride)",
+           "a per-frame frame cut into pieces keys the next frame from its end, not its start"),
+    Mutant("src/chaospip/io.py",
+           "upto(i, 3 * min(stop, len(planar[i]) // 3))",
+           "upto(i, min(stop, len(planar[i]) // 3))",
+           "a red-plane piece is de-interleaved before its pixels are read"),
+    Mutant("src/chaospip/cli.py",
+           "        upto(offset + stop)",
+           "        upto(stop)",
+           "a container's pieces are handed on before their last header-size bytes are read"),
+    Mutant("src/chaospip/io.py",
+           "if (whole := 3 * (filled - 2 * n)) > written:",
+           "if (whole := 3 * (filled - n)) > written:",
+           "a PPM's pixels are written before their blue bytes are in"),
     # entropy_of_counts' refusal of invalid histograms.
     Mutant("src/chaospip/analysis.py",
            "counts.min(initial=0.0) < 0 or",

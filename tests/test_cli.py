@@ -30,7 +30,7 @@ from chaospip import (
     write_container,
     write_pnm,
 )
-from chaospip import analysis, cli, keystream
+from chaospip import analysis, cipher, cli, io, keystream
 from chaospip.cli import run
 
 from synthimg import synthetic_gray, synthetic_rgb
@@ -374,15 +374,11 @@ def test_analyze_input_errors_read_as_before(tmp_path, monkeypatch, capsys, limi
     assert calls == ([2] if limit == "two-threads" and fault == "unreadable" else [])
 
 
-def test_large_rgb_analyze_calls_public_functions_on_the_main_thread(tmp_path, monkeypatch):
-    """Helper threads run private code only, so a tracer that wraps the public
-    functions, as perfbench/spans.py does, sees every call on one thread; and
-    the kernel is first loaded on the main thread."""
-    frame = synthetic_rgb(640, 560, 7.4, seed=8)
-    assert len(frame.data) >= keystream._CONCURRENT_BYTES  # the size rule as shipped
-    plain_path, container = tmp_path / "plain.ppm", tmp_path / "c.cpip"
-    plain_path.write_bytes(write_pnm(frame))
-    assert run(["encrypt", "--in", str(plain_path), "--out", str(container), *KEY_FLAGS]) == 0
+def _record_threads(monkeypatch, private) -> tuple[dict, list]:
+    """Wraps every public chaospip function at every module attribute that binds
+    it, as perfbench/spans.py does, and each (module, name) of `private`, to note
+    the threads that call it; and reloads the kernel, noting the thread that loads
+    it first. Returns {name: thread idents} and that first thread."""
     threads, wrapped = {}, {}
 
     def recording(name, fn):
@@ -400,12 +396,25 @@ def test_large_rgb_analyze_calls_public_functions_on_the_main_thread(tmp_path, m
                 continue
             wrapped.setdefault(obj, recording(f"{obj.__module__}.{obj.__name__}", obj))
             monkeypatch.setattr(module, attr, wrapped[obj])
-    for module, name in [(keystream, "_moments"), (cli, "_read")]:
+    for module, name in private:
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     loaded = keystream._loaded
     loaded.cache_clear()  # the next call loads the kernel again
     first = []
     monkeypatch.setattr(keystream, "_loaded", lambda: first.append(threading.get_ident()) or loaded())
+    return threads, first
+
+
+def test_large_rgb_analyze_calls_public_functions_on_the_main_thread(tmp_path, monkeypatch):
+    """Helper threads run private code only, so a tracer that wraps the public
+    functions, as perfbench/spans.py does, sees every call on one thread; and
+    the kernel is first loaded on the main thread."""
+    frame = synthetic_rgb(640, 560, 7.4, seed=8)
+    assert len(frame.data) >= keystream._CONCURRENT_BYTES  # the size rule as shipped
+    plain_path, container = tmp_path / "plain.ppm", tmp_path / "c.cpip"
+    plain_path.write_bytes(write_pnm(frame))
+    assert run(["encrypt", "--in", str(plain_path), "--out", str(container), *KEY_FLAGS]) == 0
+    threads, first = _record_threads(monkeypatch, [(keystream, "_moments"), (cli, "_read")])
     assert cli.run(["analyze", "--plain", str(plain_path), "--cipher", str(container),
                     "--report", str(tmp_path / "report.txt")]) == 0
     main = {threading.get_ident()}
@@ -415,6 +424,55 @@ def test_large_rgb_analyze_calls_public_functions_on_the_main_thread(tmp_path, m
     assert all(idents == main for idents in public.values()), public
     assert len(threads["_moments"] - main) == 1 and len(threads["_read"] - main) == 1
     assert first[0] in main
+
+
+@pytest.mark.parametrize("command", ["encrypt-ppm", "encrypt-raw", "decrypt-raw", "decrypt-as-pnm"])
+def test_large_encrypt_and_decrypt_call_public_functions_on_the_main_thread(tmp_path, monkeypatch,
+                                                                           command):
+    """The frame loop draws and masks here, and one helper reads the rest of the
+    input and writes the output: every public function runs on the main thread,
+    the kernel is first loaded there, and every byte of the stream still goes
+    through transform_plane, one call per piece."""
+    frame = synthetic_rgb(640, 560, 7.4, seed=8)  # 1,075,200 bytes: five pieces
+    assert len(frame.data) >= keystream._CONCURRENT_BYTES > cli._HEAD_BYTES
+    paths = {name: tmp_path / name for name in ("plain.ppm", "plain.raw", "c.cpip", "out")}
+    paths["plain.ppm"].write_bytes(write_pnm(frame))
+    paths["plain.raw"].write_bytes(frame.data)
+    assert run(["encrypt", "--in", str(paths["plain.ppm"]), "--out", str(paths["c.cpip"]), *KEY_FLAGS]) == 0
+    argv = {
+        "encrypt-ppm": ["encrypt", "--in", str(paths["plain.ppm"])],
+        "encrypt-raw": ["encrypt", "--in", str(paths["plain.raw"]), "--width", "640", "--height", "560",
+                        "--channels", "3"],
+        "decrypt-raw": ["decrypt", "--in", str(paths["c.cpip"])],
+        "decrypt-as-pnm": ["decrypt", "--in", str(paths["c.cpip"]), "--as-pnm"],
+    }[command] + ["--out", str(paths["out"]), *KEY_FLAGS]
+    read_ahead = cli._read_ahead
+
+    def read_ahead_noting(file):  # notes the threads that read on past the header
+        data, upto = read_ahead(file)
+        return data, lambda n: threads.setdefault("_upto", set()).add(threading.get_ident()) or upto(n)
+
+    monkeypatch.setattr(cli, "_read_ahead", read_ahead_noting)
+    threads, first = _record_threads(monkeypatch, [(cli, "_write"), (io, "_deinterleave"),
+                                                   (io, "_interleave")])
+    planes, transform_plane = [], cipher.transform_plane
+    monkeypatch.setattr(cipher, "transform_plane",
+                        lambda data, *args: planes.append(len(data)) or transform_plane(data, *args))
+    assert cli.run(argv) == 0
+    main = {threading.get_ident()}
+    public = {name: idents for name, idents in threads.items() if not name.startswith("_")}
+    assert {"chaospip.cli.run", "chaospip.cipher.transform_plane", "chaospip.keystream.seed",
+            "chaospip.keystream.take_bytes"} <= set(public)
+    assert not {name for name, idents in public.items() if idents != main}
+    helper_only = {"_upto", "_write"} | {"encrypt-ppm": {"_deinterleave"},
+                                        "decrypt-as-pnm": {"_interleave"}}.get(command, set())
+    assert helper_only <= set(threads)
+    assert all(len(threads[name]) == 1 and not threads[name] & main for name in helper_only), threads
+    assert first[0] in main
+    assert sum(planes) == len(frame.data) and len(planes) == 5
+    expected = {"encrypt-ppm": paths["c.cpip"], "encrypt-raw": paths["c.cpip"],
+                "decrypt-raw": paths["plain.raw"], "decrypt-as-pnm": paths["plain.ppm"]}[command]
+    assert paths["out"].read_bytes() == expected.read_bytes()
 
 
 # sha256 of the analyze report for synthetic_rgb(640, 480, 7.4, seed=5)
