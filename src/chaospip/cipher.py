@@ -249,15 +249,14 @@ def _transform(inputs: Iterable, key: KeyMaterial, stream: _Stream) -> Iterator[
         yield data
 
 
-def _frame_data(parts: Iterable, size: int) -> Iterator:
-    """Each frame's bytes, from parts that are the outputs of `_transform` or
-    any other parts cut as `_plan` cuts: a part of whole frames is sliced into
-    them (a one-frame bytes part is itself), a frame's pieces are copied
-    into one new bytes object."""
+def _wholes(parts: Iterable, size: int) -> Iterator:
+    """`parts`, the outputs of `_transform` or any other parts cut as `_plan`
+    cuts, each holding whole frames of `size` bytes: a part of whole frames
+    as it is, a frame's pieces copied into one new bytes object."""
     filled = 0
     for out in parts:
         if len(out) >= size:
-            yield from [out[i:i + size] for i in range(0, len(out), size)]
+            yield out
             continue
         if not filled:
             frame, view = keystream._new_array(size)
@@ -267,11 +266,17 @@ def _frame_data(parts: Iterable, size: int) -> Iterator:
             filled = 0
 
 
+def _frame_data(parts: Iterable, size: int) -> Iterator:
+    """Each frame's bytes, sliced from the parts of `_wholes` (a one-frame bytes part is itself)."""
+    return (out[i:i + size] for out in _wholes(parts, size) for i in range(0, len(out), size))
+
+
 def _cut(parts: Iterable, width: int, height: int, channels: int) -> list[Frame]:
-    """Frames of Python int geometry from the parts of `_frame_data`; a bytes part
+    """Frames of Python int geometry from the parts of `_wholes`; a bytes part
     that is one whole frame becomes that frame's data as it is."""
-    return [Frame(width, height, channels, bytes(data))  # bytes of bytes is that very object
-            for data in _frame_data(parts, width * height * channels)]
+    size = width * height * channels
+    return [Frame(width, height, channels, bytes(out[i:i + size]))  # bytes of bytes is that very object
+            for out in _wholes(parts, size) for i in range(0, len(out), size)]
 
 
 def process_stream(
@@ -281,7 +286,7 @@ def process_stream(
 
     The frames run through `_transform` (batches of at most _BATCH_BYTES,
     or pieces of a frame larger than _PIECE_BYTES) between the frames' bytes
-    and `_frame_data`, on two threads for a large stream (`keystream._pipeline`).
+    and `_cut`, on two threads for a large stream (`keystream._pipeline`).
     """
     mode = ReseedMode(mode)
     frames = list(frames)
