@@ -22,10 +22,10 @@ past the first frame's start (stride = the frame size in continuous mode,
 PER_FRAME_STRIDE in per-frame mode). `transform_plane` draws all the
 windows of a batch of frames in one keystream walk. `_transform` is the one
 frame loop, images included: one `transform_plane` call per batch of small
-frames, or per piece of a large frame. `process_stream` and the CLI's
-`encrypt` and `decrypt` run it between a source and a sink
-(`keystream._pipeline`), which for a large stream read ahead and write
-behind on a helper thread.
+frames, or per piece of a large frame that is cut. `process_stream` runs it
+on whole frames. The CLI's `encrypt` and `decrypt` of a large input run it
+on pieces between a source and a sink (`keystream._pipeline`), which read
+ahead and write behind on a helper thread.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from . import keystream
 from .errors import DimensionMismatch
@@ -56,7 +54,8 @@ PER_FRAME_STRIDE = 17
 # page-faulted on every call and ran up to 2x slower per byte than 64 KiB.
 _BATCH_BYTES = 1 << 16
 
-# A frame larger than this is cut into pieces of at most this many bytes, one
+# Where the frame loop is cut (the CLI's streamed `encrypt` and `decrypt`), a
+# frame larger than this is cut into pieces of at most this many bytes, one
 # `transform_plane` call each, so a helper can read the next piece and write
 # the last while this thread draws and masks. Each piece but the last is a
 # multiple of 8 bytes, so blocks stay aligned to the frame's start. A piece
@@ -194,12 +193,12 @@ class _Stream(NamedTuple):
         return self.width * self.height * self.channels
 
 
-def _plan(size: int, count: int) -> Iterator[tuple[int, int]]:
+def _plan(size: int, count: int, cut: bool = False) -> Iterator[tuple[int, int]]:
     """The [start, stop) byte ranges of `count` frames of `size` bytes, one per
     `transform_plane` call of `_transform`: as many whole frames as fit in
-    _BATCH_BYTES, at least one, or the pieces of a frame larger than
-    _PIECE_BYTES, of near-equal lengths that are multiples of 8."""
-    if size > _PIECE_BYTES:
+    _BATCH_BYTES, at least one, or, if `cut`, the pieces of a frame larger
+    than _PIECE_BYTES, of near-equal lengths that are multiples of 8."""
+    if cut and size > _PIECE_BYTES:
         pieces = -(-size // _PIECE_BYTES)
         piece = -(-size // (8 * pieces)) * 8
         for frame in range(0, size * count, size):
@@ -212,10 +211,10 @@ def _plan(size: int, count: int) -> Iterator[tuple[int, int]]:
 
 
 def _pieces(stream: _Stream, part: Callable[[int, int, int], object]) -> Iterator:
-    """The inputs of `_plan` for `stream`, from part(i, start, stop), the bytes
-    [start, stop) of frame i: a piece as one part, a batch as its frames joined."""
+    """The inputs of `_plan` for `stream`, cut, from part(i, start, stop), the
+    bytes [start, stop) of frame i: a piece as one part, a batch as its frames joined."""
     size = stream.size
-    for start, stop in _plan(size, stream.count):
+    for start, stop in _plan(size, stream.count, cut=True):
         i, offset = divmod(start, size)
         if stop - start < size:
             yield part(i, offset, offset + stop - start)
@@ -225,8 +224,8 @@ def _pieces(stream: _Stream, part: Callable[[int, int, int], object]) -> Iterato
             yield b"".join(part(j, 0, size) for j in range(i, stop // size))
 
 
-def _transform(inputs: Iterable, key: KeyMaterial, stream: _Stream) -> Iterator[bytes]:
-    """The frame loop: the output of each input of `_plan` for `stream`, in turn.
+def _transform(inputs: Iterable, key: KeyMaterial, stream: _Stream, cut: bool = False) -> Iterator[bytes]:
+    """The frame loop: the output of each input of `_plan(..., cut)` for `stream`, in turn.
 
     A batch of whole frames is one `transform_plane` call, its frames keyed
     `stride` iterates apart. A frame cut into pieces is keyed back to back
@@ -237,7 +236,7 @@ def _transform(inputs: Iterable, key: KeyMaterial, stream: _Stream) -> Iterator[
     size = stream.size
     stride = size if stream.reseed is ReseedMode.CONTINUOUS else PER_FRAME_STRIDE
     state = keystream.seed(key)
-    for (start, stop), data in zip(_plan(size, stream.count), inputs):
+    for (start, stop), data in zip(_plan(size, stream.count, cut), inputs):
         if stop - start >= size:
             data, state = transform_plane(data, state, size, stride)
         else:
@@ -249,34 +248,25 @@ def _transform(inputs: Iterable, key: KeyMaterial, stream: _Stream) -> Iterator[
         yield data
 
 
-def _wholes(parts: Iterable, size: int) -> Iterator:
-    """`parts`, the outputs of `_transform` or any other parts cut as `_plan`
-    cuts, each holding whole frames of `size` bytes: a part of whole frames
-    as it is, a frame's pieces copied into one new bytes object."""
-    filled = 0
-    for out in parts:
-        if len(out) >= size:
-            yield out
+def _frame_parts(parts: Iterable, size: int) -> Iterator[list]:
+    """Each frame's bytes as a list of parts, from `parts` cut as `_plan` cuts:
+    a view of a batch's frame, or a cut frame's pieces."""
+    pieces, filled = [], 0
+    for part in parts:
+        if len(part) >= size:
+            view = memoryview(part)
+            yield from ([view[i:i + size]] for i in range(0, len(part), size))
             continue
-        if not filled:
-            frame, view = keystream._new_array(size)
-        view[filled:filled + len(out)] = np.frombuffer(out, np.uint8)
-        if (filled := filled + len(out)) == size:
-            yield frame
-            filled = 0
+        pieces.append(part)
+        if (filled := filled + len(part)) == size:
+            yield pieces
+            pieces, filled = [], 0
 
 
-def _frame_data(parts: Iterable, size: int) -> Iterator:
-    """Each frame's bytes, sliced from the parts of `_wholes` (a one-frame bytes part is itself)."""
-    return (out[i:i + size] for out in _wholes(parts, size) for i in range(0, len(out), size))
-
-
-def _cut(parts: Iterable, width: int, height: int, channels: int) -> list[Frame]:
-    """Frames of Python int geometry from the parts of `_wholes`; a bytes part
-    that is one whole frame becomes that frame's data as it is."""
+def _cut(data, width: int, height: int, channels: int) -> list[Frame]:
+    """Frames cut from `data` by Python int geometry; a bytes slice of it all is that very object."""
     size = width * height * channels
-    return [Frame(width, height, channels, bytes(out[i:i + size]))  # bytes of bytes is that very object
-            for out in _wholes(parts, size) for i in range(0, len(out), size)]
+    return [Frame(width, height, channels, bytes(data[i:i + size])) for i in range(0, len(data), size)]
 
 
 def process_stream(
@@ -284,9 +274,9 @@ def process_stream(
 ) -> list[Frame]:
     """Encrypt/decrypt a frame sequence under reseed `mode`, a `ReseedMode` or its value.
 
-    The frames run through `_transform` (batches of at most _BATCH_BYTES,
-    or pieces of a frame larger than _PIECE_BYTES) between the frames' bytes
-    and `_cut`, on two threads for a large stream (`keystream._pipeline`).
+    The frames run through `_transform` in batches of at most _BATCH_BYTES
+    (or one frame, if a frame is larger), one `transform_plane` call per
+    batch, on this thread; `_cut` splits each batch's output.
     """
     mode = ReseedMode(mode)
     frames = list(frames)
@@ -295,14 +285,5 @@ def process_stream(
     _check_same_shape([f.shape for f in frames])
     stream = _Stream(*frames[0].shape, len(frames), mode)
     datas, size = [f.data for f in frames], stream.size
-
-    def inputs() -> Iterator:  # whole frames joined (one frame's join is its bytes), or a piece as a view
-        for start, stop in _plan(size, len(datas)):
-            if stop - start >= size:
-                yield b"".join(datas[start // size:stop // size])
-            else:
-                yield keystream._view(datas[start // size])[start % size:start % size + stop - start]
-
-    return keystream._pipeline(size * len(datas), inputs(),
-                               lambda items: _transform(items, key, stream),
-                               lambda outputs: _cut(outputs, *frames[0].shape))
+    batches = (b"".join(datas[start // size:stop // size]) for start, stop in _plan(size, len(datas)))
+    return [frame for out in _transform(batches, key, stream) for frame in _cut(out, *frames[0].shape)]

@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import analysis, keystream
-from .cipher import (Frame, ReseedMode, _check_same_shape, _frame_data, _pieces, _plan, _Stream, _transform,
+from .cipher import (Frame, ReseedMode, _check_same_shape, _frame_parts, _pieces, _plan, _Stream, _transform,
                      process_stream)
 from .errors import FixedPointError, FormatError, ParseError, RangeError
 from .io import (HEADER_SIZE, MAGIC, _container_parts, _parse_container, _parse_pnm, _parse_raw, _planes,
@@ -193,7 +193,7 @@ def _parse_pnm_ahead(data, upto: Callable[[int], None]) -> tuple:
 def _views(data, stream: _Stream, upto: Callable[[int], None], offset: int = 0) -> Iterator:
     """The inputs of `_plan` for `stream`, as views into `data`, which holds its
     frames back to back; the file is read up to each before it is handed on."""
-    for start, stop in _plan(stream.size, stream.count):
+    for start, stop in _plan(stream.size, stream.count, cut=True):
         upto(offset + stop)
         yield data[start:stop]
 
@@ -256,14 +256,14 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
             kept = []
             _write(out, _container_parts(stream, mode, _kept(outputs, kept) if args.as_pnm else outputs))
             suffix = ".pgm" if stream.channels == 1 else ".ppm"
-            for i, frame in enumerate(_frame_data(kept, stream.size)):
+            for i, parts in enumerate(_frame_parts(kept, stream.size)):
                 name = out.name + (suffix if stream.count == 1 else f".frame-{i:06d}{suffix}")
-                _write(out.with_name(name), _pnm_parts([frame], *stream[:3]))
+                _write(out.with_name(name), _pnm_parts(parts, *stream[:3]))
 
         if frames is not None:
             sink(f.data for f in frames)
         else:
-            keystream._pipeline(size, inputs, lambda items: _transform(items, key, stream), sink)
+            keystream._pipeline(size, inputs, lambda items: _transform(items, key, stream, cut=True), sink)
     print(f"encrypted {stream.count} frame(s) -> {out}", file=sys.stderr)
     return EXIT_OK
 
@@ -286,17 +286,18 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
                 _write(out, outputs)
             elif stream.count == 1:
                 _write(out, _pnm_parts(outputs, *stream[:3]))
-            else:
+            else:  # every frame first, so that a failure in the loop writes none
+                kept = list(_frame_parts(outputs, stream.size))
                 out.mkdir(parents=True, exist_ok=True)
                 suffix = ".pgm" if stream.channels == 1 else ".ppm"
-                for i, frame in enumerate(_frame_data(outputs, stream.size)):
-                    _write(out / f"frame-{i:06d}{suffix}", _pnm_parts([frame], *stream[:3]))
+                for i, parts in enumerate(kept):
+                    _write(out / f"frame-{i:06d}{suffix}", _pnm_parts(parts, *stream[:3]))
 
         if frames is not None:
             sink(f.data for f in frames)
         else:
             keystream._pipeline(size, _views(payload, stream, upto, HEADER_SIZE),
-                                lambda items: _transform(items, key, stream), sink)
+                                lambda items: _transform(items, key, stream, cut=True), sink)
     print(f"decrypted {stream.count} frame(s) -> {out}", file=sys.stderr)
     return EXIT_OK
 

@@ -22,7 +22,7 @@ concatenated, each channel-planar). The header never carries key material.
 
 Raw side: `read_raw` checks concatenated channel-planar frames from raw
 video files and container payloads, then cuts them into Frames with
-`cipher._cut`, the cutter that also assembles `process_stream`'s output.
+`cipher._cut`, the cutter that also slices `process_stream`'s output.
 
 Each reader checks its input in a private parser (`_parse_pnm`,
 `_parse_container`, `_parse_raw`) that returns views into it, and the
@@ -234,7 +234,7 @@ def _container_parts(stream: _Stream, mode: ContainerMode, payload: Iterable) ->
 def read_container(data: bytes) -> tuple[list[Frame], ContainerMode, ReseedMode]:
     """Parse and validate a container, any bytes-like object, returning its frames and modes."""
     stream, mode, payload = _parse_container(data)
-    return _cut([payload], *stream[:3]), mode, stream.reseed
+    return _cut(payload, *stream[:3]), mode, stream.reseed
 
 
 def _parse_container(data) -> tuple[_Stream, ContainerMode, memoryview]:
@@ -268,7 +268,7 @@ def _parse_container(data) -> tuple[_Stream, ContainerMode, memoryview]:
 def read_raw(data: bytes | memoryview, width: int, height: int, channels: int) -> list[Frame]:
     """Cut concatenated channel-planar frames, any bytes-like object, into Frames, one copy each."""
     view, width, height, channels = _parse_raw(data, width, height, channels)
-    return _cut([view], width, height, channels)
+    return _cut(view, width, height, channels)
 
 
 def _parse_raw(data, width: int, height: int, channels: int) -> tuple[memoryview, int, int, int]:

@@ -63,16 +63,17 @@ size rule, `_helped` (`_CONCURRENT_BYTES`), decides when, in two forms.
 pair's channel passes, and the CLI's `analyze` its two reads. `_pipeline`
 runs a stream: the frame loop (`cipher._transform`) draws and masks on the
 calling thread while the helper makes the loop's next input and writes its
-last output (`process_stream`, and the CLI's `encrypt` and `decrypt` of an
-input file the rule passes). One key's
-keystream is a serial chain, each state made from the one before, so no
-helper can share the draw; it can only take the other work off the calling
-thread. Helpers run private code only, so every public function runs on the
-calling thread, and one helper runs at a time.
+last output (the CLI's `encrypt` and `decrypt` of an input file the rule
+passes; `process_stream` stays on one thread). One key's keystream is a
+serial chain, each state made from the one before, so no helper can share
+the draw; it can only take the other work off the calling thread. Helpers
+run private code only, so every public function runs on the calling
+thread, and one helper runs at a time.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -390,7 +391,9 @@ def _concurrently(size: int, *calls: Callable[[], object]) -> list:
 
 
 # Items `_pipeline`'s helper reads ahead of the transform: the next one is
-# ready when the transform asks for it, and few are held at once.
+# ready when the transform asks for it, and few are held at once. The
+# calling thread also holds this many of its results that the sink may
+# still be using.
 _AHEAD = 2
 _END, _STOP = object(), object()  # what the transform hands the helper last
 
@@ -412,11 +415,19 @@ def _pipeline(size: int, source: Iterable, transform: Callable[[Iterator], Itera
     else the transform's, with `_Stopped` raised into the sink. The helper
     is joined before this returns or raises, and the kernel is loaded here
     first, as in `_concurrently`.
+
+    Each result is freed here, at a fixed point of the transform: this
+    thread keeps it until the sink has asked for the item _AHEAD results
+    later. Freed on the helper, as soon as the sink let it go, a result
+    went back to this thread's heap at a point that depended on timing,
+    which left that heap's free space in a layout that the next command's
+    buffers sometimes outgrew (test_cli_calls_reuse_heap_pages_after_warm_up).
     """
     if not _helped(size):
         return sink(transform(source))
     _loaded()
-    inbox, outbox, done, failed = queue.SimpleQueue(), queue.SimpleQueue(), [], []
+    inbox, outbox, spent, done, failed = (queue.SimpleQueue(), queue.SimpleQueue(), queue.SimpleQueue(),
+                                          [], [])
 
     def fed() -> Iterator:  # the sink's items, with the source read ahead
         items = iter(source)
@@ -427,6 +438,8 @@ def _pipeline(size: int, source: Iterable, transform: Callable[[Iterator], Itera
                 raise _Stopped("the transform failed")
             inbox.put(next(items, _END))
             yield item
+            del item  # so that the calling thread's reference is the last
+            spent.put(None)
 
     def serve() -> None:
         try:
@@ -435,6 +448,7 @@ def _pipeline(size: int, source: Iterable, transform: Callable[[Iterator], Itera
             failed.append(exc)
         finally:
             inbox.put(_END)  # the transform may wait for an item
+            spent.put(_END)  # or for the sink to let a result go
 
     def taken() -> Iterator:
         while (item := inbox.get()) is not _END:
@@ -442,10 +456,14 @@ def _pipeline(size: int, source: Iterable, transform: Callable[[Iterator], Itera
 
     helper = threading.Thread(target=serve)
     helper.start()
-    last = _STOP
+    last, held, served = _STOP, collections.deque(), True
     try:
         for item in transform(taken()):
             outbox.put(item)
+            held.append(item)
+            if len(held) > _AHEAD:
+                served = served and spent.get() is not _END
+                held.popleft()
         last = _END
     finally:
         outbox.put(last)
@@ -534,8 +552,11 @@ def _py_moments(a: np.ndarray, b: np.ndarray) -> _Moments:
 
 
 def _py_counted_moments(a: np.ndarray, b: np.ndarray) -> tuple[_Moments, np.ndarray]:
-    counts = [np.bincount(a, minlength=256), np.bincount(b, minlength=256)]
-    return _py_moments(a, b), np.array(counts, dtype=np.int64)
+    # The counts first: made after `_py_moments`' array-sized temporaries, the
+    # count array could lie in a heap above them, and a later call's
+    # temporaries, not fitting where they did, would take fresh pages.
+    counts = np.array([np.bincount(a, minlength=256), np.bincount(b, minlength=256)], dtype=np.int64)
+    return _py_moments(a, b), counts
 
 
 class _Kernel(NamedTuple):

@@ -149,6 +149,14 @@ CATALOGUE = [
            "if (whole := 3 * (filled - 2 * n)) > written:",
            "if (whole := 3 * (filled - n)) > written:",
            "a PPM's pixels are written before their blue bytes are in"),
+    Mutant("src/chaospip/cli.py",
+           "kept = list(_frame_parts(outputs, stream.size))",
+           "kept = _frame_parts(outputs, stream.size)",
+           "a multi-frame --as-pnm export writes frames before the loop has finished"),
+    Mutant("src/chaospip/cipher.py",
+           "for start, stop in _plan(size, len(datas)))",
+           "for start, stop in _plan(size, len(datas), True))",
+           "process_stream cuts a large frame into pieces"),
     # entropy_of_counts' refusal of invalid histograms.
     Mutant("src/chaospip/analysis.py",
            "counts.min(initial=0.0) < 0 or",

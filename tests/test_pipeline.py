@@ -4,15 +4,17 @@ whatever the timing.
 `keystream._pipeline` runs `cipher._transform` on the calling thread, and its
 source (the rest of the input's read, then PPM de-interleaving or views) and
 its sink (the output's writer) on one helper thread, for a stream of
-`keystream._CONCURRENT_BYTES` bytes or more. These tests lower that rule, and
+`keystream._CONCURRENT_BYTES` bytes or more; the CLI's `encrypt` and
+`decrypt` of a large input run it so. These tests lower that rule, and
 `cipher._PIECE_BYTES`, `_BATCH_BYTES` and `cli._HEAD_BYTES`, so that small
 streams take the helper, cut frames into pieces that straddle planes, fill
 many batches and read their input in steps. They slow one side of every
 handoff between the two threads (the pipeline's two queues) by random sleeps,
 and compare each output with the serial path's and with tests/refcipher.py,
-on both kernels. For the CLI the serial path is the list path that an input
-file below the rule takes (read whole into Frames, then `process_stream`),
-or, for a failure only streaming can meet, the streamed path on one thread.
+on both kernels. The serial path is `process_stream` (whole frames, one
+thread), and for the CLI the list path that an input file below the rule
+takes (read whole into Frames, then `process_stream`), or, for a failure
+only streaming can meet, the streamed path on one thread.
 """
 
 import errno
@@ -124,6 +126,17 @@ STREAMS = {
 }
 
 
+def _looped(frames: list[Frame], mode: ReseedMode) -> list[bytes]:
+    """Each frame's output of the frame loop on `frames` cut into pieces, run
+    through `keystream._pipeline` as the CLI runs it."""
+    stream = cipher._Stream(*frames[0].shape, len(frames), mode)
+    datas = [f.data for f in frames]
+    inputs = cipher._pieces(stream, lambda i, start, stop: memoryview(datas[i])[start:stop])
+    outputs = keystream._pipeline(stream.size * len(frames), inputs,
+                                  lambda items: cipher._transform(items, KEY, stream, cut=True), list)
+    return [b"".join(parts) for parts in cipher._frame_parts(outputs, stream.size)]
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("side", ["put", "get", "switch"])
 @pytest.mark.parametrize("stream", list(STREAMS))
@@ -132,17 +145,33 @@ def test_two_threads_give_the_serial_bytes(monkeypatch, small, kernel, side, str
     _kernel(monkeypatch, kernel)
     width, height, channels, count, mode = STREAMS[stream]
     frames = _frames(width, height, channels, count)
-    serial = process_stream(frames, KEY, mode)
-    _assert_reference(frames, [f.data for f in serial], mode)
+    serial = [f.data for f in process_stream(frames, KEY, mode)]
+    _assert_reference(frames, serial, mode)
     threads = _overlapped(monkeypatch, side)
     before, interval = threading.active_count(), sys.getswitchinterval()
     try:
         if side == "switch":
             sys.setswitchinterval(1e-6)
-        assert process_stream(frames, KEY, mode) == serial
+        assert _looped(frames, mode) == serial
     finally:
         sys.setswitchinterval(interval)
     assert len(threads) == 2 and threading.active_count() == before
+
+
+def test_process_stream_keeps_whole_frames_on_this_thread(monkeypatch):
+    # One transform_plane call per frame larger than a batch, and no helper,
+    # however large the stream: only the CLI's streamed path cuts and overlaps.
+    frames = _frames(40, 40, 3, 3, seed=7)
+    monkeypatch.setattr(cipher, "_PIECE_BYTES", 1200)
+    monkeypatch.setattr(cipher, "_BATCH_BYTES", 1200)
+    monkeypatch.setattr(keystream, "_CONCURRENT_BYTES", 0)
+    monkeypatch.setattr(keystream, "threading", SimpleNamespace(Thread=None))  # any helper fails
+    calls, transform_plane = [], cipher.transform_plane
+    monkeypatch.setattr(cipher, "transform_plane",
+                        lambda data, *args: calls.append(len(data)) or transform_plane(data, *args))
+    out = process_stream(frames, KEY)
+    assert calls == [4800] * 3
+    _assert_reference(frames, [f.data for f in out], ReseedMode.CONTINUOUS)
 
 
 def _files(directory: Path) -> dict:
@@ -216,28 +245,35 @@ def test_two_threads_write_the_serial_files(tmp_path, monkeypatch, small, kernel
         assert [files[f"frames/frame-{i:06d}.ppm"] for i in range(5)] == [write_pnm(f) for f in VIDEO]
 
 
-def _shrinking(monkeypatch, path: Path) -> None:
-    """The input at `path` loses its last 100 bytes once its header is checked."""
-    parse = cli._parse_pnm_ahead
+def _shrinking(monkeypatch, path: Path, parser: str = "_parse_pnm_ahead") -> None:
+    """The input at `path` loses its last 100 bytes once `parser` has checked its header."""
+    parse = getattr(cli, parser)
 
-    def parse_then_truncate(data, upto):
-        pnm = parse(data, upto)
+    def parse_then_truncate(*args):
+        parsed = parse(*args)
         os.truncate(path, path.stat().st_size - 100)
-        return pnm
+        return parsed
 
-    monkeypatch.setattr(cli, "_parse_pnm_ahead", parse_then_truncate)
+    monkeypatch.setattr(cli, parser, parse_then_truncate)
 
 
-def _third_call_fails(monkeypatch, module, name: str, error: Exception) -> None:
+def _call_fails(monkeypatch, module, name: str, error: Exception, n: int = 3) -> None:
+    """Call n of module.name raises `error`."""
     calls, original = [], getattr(module, name)
 
     def failing(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 3:
+        if len(calls) == n:
             raise error
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, failing)
+
+
+def _last_draw_fails(monkeypatch, route: str) -> None:
+    """The frame loop's last `transform_plane` call of a 4,800-byte frame
+    raises: the list path's one call, or the fourth of its 1,200-byte pieces."""
+    _call_fails(monkeypatch, cipher, "transform_plane", ValueError("bad draw"), 1 if route == "list" else 4)
 
 
 def _disk_fills(monkeypatch) -> None:
@@ -263,15 +299,14 @@ def _streamed_serially(monkeypatch) -> None:
 # whether the list path (an input read whole into Frames) can meet it too.
 FAILURES = {
     "truncated-ppm": (None, "error: truncated payload: 4700 bytes, expected 4800\n", True),
-    "ppm-truncated-while-read": (_shrinking, "error: the input ended after 4713 of its 4813 bytes\n", False),
+    "ppm-truncated-while-read": (lambda mp, path, route: _shrinking(mp, path),
+                                 "error: the input ended after 4713 of its 4813 bytes\n", False),
     "de-interleave-fails": (
-        lambda mp, path: _third_call_fails(mp, io, "_deinterleave", ValueError("bad piece")),
+        lambda mp, path, route: _call_fails(mp, io, "_deinterleave", ValueError("bad piece")),
         "error: bad piece\n", False),
-    "disk-full": (lambda mp, path: _disk_fills(mp),
+    "disk-full": (lambda mp, path, route: _disk_fills(mp),
                   f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n", True),
-    "loop-fails": (
-        lambda mp, path: _third_call_fails(mp, cipher, "transform_plane", ValueError("bad draw")),
-        "error: bad draw\n", True),
+    "loop-fails": (lambda mp, path, route: _last_draw_fails(mp, route), "error: bad draw\n", True),
 }
 
 
@@ -300,7 +335,7 @@ def test_a_failure_reads_as_on_the_serial_path(tmp_path, monkeypatch, capsys, si
             if path == "threaded":
                 threads = _overlapped(mp, side)
             if inject is not None:
-                inject(mp, plain)
+                inject(mp, plain, path)
             count = threading.active_count()
             code = run(["encrypt", "--in", str(plain), "--out", str(out), *KEY_FLAGS])
             assert threading.active_count() == count
@@ -315,20 +350,73 @@ def test_a_failure_reads_as_on_the_serial_path(tmp_path, monkeypatch, capsys, si
     assert len(threads) == (0 if failure == "truncated-ppm" else 2)
 
 
+# Each failure of a multi-frame `decrypt --as-pnm`, its message, and whether
+# the list path can meet it. The loop fails at its one call on the list path,
+# and at the third piece of the fourth frame on the others.
+EXPORT_FAILURES = {
+    "container-truncated-while-read": (lambda mp, path, route: _shrinking(mp, path, "_parse_container"),
+                                       "error: the input ended after 23920 of its 24020 bytes\n", False),
+    "loop-fails": (lambda mp, path, route: _call_fails(mp, cipher, "transform_plane", ValueError("bad draw"),
+                                                      1 if route == "list" else 15),
+                   "error: bad draw\n", True),
+}
+
+
+@pytest.mark.parametrize("side", ["put", "get"])
+@pytest.mark.parametrize("old", [True, False], ids=["into-a-directory", "new-directory"])
+@pytest.mark.parametrize("failure", list(EXPORT_FAILURES))
+def test_a_failed_frame_export_writes_no_frame(tmp_path, monkeypatch, capsys, side, old, failure):
+    """A multi-frame `decrypt --as-pnm` that fails writes no frame file, on every path."""
+    inject, message, listed = EXPORT_FAILURES[failure]
+    frames = _frames(40, 40, 3, 5, seed=8)  # 24,000 bytes: four pieces a frame, read in steps
+    mode = io.container_mode_for(3, video=True)
+    outcomes = []
+    for path in ["list", "streamed", "threaded"] if listed else ["streamed", "threaded"]:
+        directory = tmp_path / path
+        directory.mkdir()
+        container, out = directory / "video.cpip", directory / "frames"
+        container.write_bytes(io.write_container(process_stream(frames, KEY), mode, ReseedMode.CONTINUOUS))
+        if old:
+            out.mkdir()
+            (out / "frame-000000.ppm").write_bytes(b"old frame")
+        before = _files(directory)
+        with monkeypatch.context() as mp:
+            mp.setattr(cipher, "_PIECE_BYTES", 1200)
+            mp.setattr(cli, "_HEAD_BYTES", 64)
+            if path == "streamed":
+                _streamed_serially(mp)
+            if path == "threaded":
+                threads = _overlapped(mp, side)
+            inject(mp, container, path)
+            count = threading.active_count()
+            code = run(["decrypt", "--in", str(container), "--out", str(out), "--as-pnm", *KEY_FLAGS])
+            assert threading.active_count() == count
+        after = _files(directory)
+        if failure == "container-truncated-while-read":
+            after.pop("video.cpip")
+            before.pop("video.cpip")
+        assert after == before and out.exists() == old
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes == [(2, message)] * len(outcomes)
+    assert len(threads) == 2
+
+
 def test_the_size_rule_takes_the_helper_from_concurrent_bytes_on(monkeypatch):
     # A stream of exactly _CONCURRENT_BYTES bytes takes the helper; one byte fewer runs here.
-    frame = _frames(40, 40, 3, 1, seed=5)[0]
     threads = _overlapped(monkeypatch, "put")
-    monkeypatch.setattr(keystream, "_CONCURRENT_BYTES", len(frame.data))
-    two = process_stream([frame], KEY)
+    monkeypatch.setattr(keystream, "_CONCURRENT_BYTES", 100)
+
+    def squares(items):
+        return (item * item for item in items)
+
+    assert keystream._pipeline(100, range(5), squares, list) == [0, 1, 4, 9, 16]
     assert len(threads) == 2
 
     def no_thread(*args, **kwargs):
         raise AssertionError("a helper thread was started")
 
-    monkeypatch.setattr(keystream, "_CONCURRENT_BYTES", len(frame.data) + 1)
     monkeypatch.setattr(keystream, "threading", SimpleNamespace(Thread=no_thread))
-    assert process_stream([frame], KEY) == two
+    assert keystream._pipeline(99, range(5), squares, list) == [0, 1, 4, 9, 16]
 
 
 @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
@@ -424,13 +512,14 @@ def test_plan_tiles_the_stream_in_whole_frames_or_aligned_pieces(monkeypatch):
     monkeypatch.setattr(cipher, "_BATCH_BYTES", 256)
     for size in [1, 7, 8, 15, 63, 64, 65, 71, 72, 127, 129, 273, 1000]:
         for count in (1, 2, 5, 41):
-            ranges = list(cipher._plan(size, count))
-            assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
-            assert ranges[-1][1] == size * count
-            for start, stop in ranges:
-                if size > 64:  # pieces of one frame, all but its last a multiple of 8
-                    assert start // size == (stop - 1) // size and stop - start <= 64
-                    assert (stop - start) % 8 == 0 or stop % size == 0
-                else:  # whole frames, as many as fit in a batch
-                    assert start % size == stop % size == 0
-                    assert stop - start == min(256 // size * size, size * count - start)
+            for cut in (False, True):
+                ranges = list(cipher._plan(size, count, cut))
+                assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+                assert ranges[-1][1] == size * count
+                for start, stop in ranges:
+                    if cut and size > 64:  # pieces of one frame, all but its last a multiple of 8
+                        assert start // size == (stop - 1) // size and stop - start <= 64
+                        assert (stop - start) % 8 == 0 or stop % size == 0
+                    else:  # whole frames, as many as fit in a batch
+                        assert start % size == stop % size == 0
+                        assert stop - start == min(max(1, 256 // size) * size, size * count - start)
